@@ -32,11 +32,7 @@
  * runs so the warm number is what a *fresh process* would pay) —
  * measured both for a fast-path job and for a pure *replay* job
  * (E12's tile-headroom shape), whose per-point results ride the
- * store's ModelCurve entries. An `emission` section times every
- * registered trace backend (trace/backend.hpp) rendering the job's
- * trace — each backend is parity-checked against the scalar totals
- * with a CountingSink before its words/s number is reported. An
- * `orchestrator` section times the
+ * store's ModelCurve entries. An `orchestrator` section times the
  * work-queue coordinator over a small two-kernel grid, fault-free
  * and with one worker SIGKILLed mid-slice, so coordination overhead
  * and recovery cost are part of the trajectory too. The
@@ -64,8 +60,6 @@
 #include "util/faultpoint.hpp"
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
-#include "trace/backend.hpp"
-#include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
 #include "trace/sink.hpp"
@@ -333,44 +327,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
         return 1;
     }
 
-    // --- emission backends A/B: every registered backend renders the
-    // same fixed-schedule trace into a NullSink. Delivery is
-    // byte-identical across backends (the diff tests), so this
-    // isolates pure rendering cost; the CountingSink pass keeps the
-    // report honest about it. On a 1-CPU host the threaded number
-    // documents the ordered pipeline's overhead, not a speedup.
-    struct EmissionTiming
-    {
-        std::string name;
-        unsigned threads = 1;
-        double s = 0.0;
-    };
-    std::vector<EmissionTiming> emission_timings;
-    for (const auto &bname : TraceBackendRegistry::instance().names()) {
-        const auto backend =
-            TraceBackendRegistry::instance().make(bname, 0);
-        CountingSink check;
-        backend->emit(*kernel, n_trace, schedule_m, check);
-        if (check.total() != words) {
-            std::cerr << "perf-json: backend '" << bname
-                      << "' delivered " << check.total()
-                      << " words, scalar delivered " << words
-                      << "; refusing to report\n";
-            return 1;
-        }
-        EmissionTiming timing;
-        timing.name = bname;
-        if (const auto *threaded =
-                dynamic_cast<const ThreadedTraceBackend *>(
-                    backend.get()))
-            timing.threads = threaded->threads();
-        t0 = std::chrono::steady_clock::now();
-        NullSink devnull;
-        backend->emit(*kernel, n_trace, schedule_m, devnull);
-        timing.s = secondsSince(t0);
-        emission_timings.push_back(std::move(timing));
-    }
-
     // --- end-to-end fixed-schedule sweeps, fast path vs replay ---
     SweepJob job;
     job.kernel = kernel_name;
@@ -413,9 +369,9 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
     t0 = std::chrono::steady_clock::now();
     std::uint64_t per_set_io = 0;
     for (const std::uint64_t sets : grid_sets) {
-        SetAssocReuseAnalyzer one(sets, 8);
+        MultiSetReuseAnalyzer one({sets}, 8);
         kernel->emitTrace(n_trace, schedule_m, one);
-        per_set_io += one.waysCurve().ioWords(8);
+        per_set_io += one.waysCurve(0).ioWords(8);
     }
     const double per_set_s = secondsSince(t0);
     if (multi_io != per_set_io) {
@@ -451,9 +407,8 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
     }
 
     // The fully associative pass per analyzer path: Scalar is the
-    // pre-fusion implementation verbatim (the only one earlier
-    // revisions had), Simd adds the ISA rank scans and the run-block
-    // shortcut.
+    // per-word reference loops, Simd adds the ISA rank scans and the
+    // run-block shortcut.
     const auto timeFullyAssoc = [&](AnalyzerPath path,
                                     MissCurve &curve_out) {
         const auto path_t0 = std::chrono::steady_clock::now();
@@ -473,40 +428,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
             fa_simd_curve.ioWords(m) != curve.ioWords(m)) {
             std::cerr << "perf-json: fully-assoc analyzer paths "
                          "diverged; refusing to report\n";
-            return 1;
-        }
-    }
-
-    // --- the fused pipeline A/B: every Mattson curve of a cold
-    // all-models sweep from ONE emission vs the separate passes
-    // earlier revisions ran. Separate = the fully associative pass
-    // (its pre-fusion scalar implementation) + the multi-set pass,
-    // each walking its own emission. Fused = one emission through the
-    // chunked pipeline into one consumer carrying the fully
-    // associative plane inside the multi-set walk.
-    const double fused_separate_s = fa_scalar_s + multi_simd_s;
-    t0 = std::chrono::steady_clock::now();
-    MultiSetReuseAnalyzer fused(grid_sets, 8, AnalyzerPath::Simd,
-                                true);
-    AnalysisPipeline fused_pipe;
-    fused_pipe.attach(fused);
-    kernel->emitTrace(n_trace, schedule_m, fused_pipe);
-    fused_pipe.flush();
-    std::uint64_t fused_sa_io = 0;
-    for (std::size_t p = 0; p < fused.planeCount(); ++p)
-        fused_sa_io += fused.waysCurve(p).ioWords(8);
-    const MissCurve fused_fa_curve = fused.fullyAssocCurve();
-    const double fused_pipeline_s = secondsSince(t0);
-    if (fused_sa_io != multi_io) {
-        std::cerr << "perf-json: fused pipeline diverged from the "
-                     "separate multi-set pass; refusing to report\n";
-        return 1;
-    }
-    for (const std::uint64_t m : grid_m) {
-        if (fused_fa_curve.ioWords(m) != curve.ioWords(m)) {
-            std::cerr << "perf-json: fused fully-assoc plane diverged "
-                         "from the separate pass; refusing to "
-                         "report\n";
             return 1;
         }
     }
@@ -649,18 +570,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
         << "    \"fully_assoc_simd_s\": " << fa_simd_s << ",\n"
         << "    \"fully_assoc_simd_speedup\": "
         << (fa_simd_s > 0.0 ? fa_scalar_s / fa_simd_s : 0.0) << ",\n"
-        << "    \"fused_separate_passes_s\": " << fused_separate_s
-        << ",\n"
-        << "    \"fused_pipeline_s\": " << fused_pipeline_s << ",\n"
-        << "    \"fused_pipeline_words_per_s\": "
-        << rate(fused_pipeline_s) << ",\n"
-        << "    \"fused_speedup\": "
-        << (fused_pipeline_s > 0.0
-                ? fused_separate_s / fused_pipeline_s
-                : 0.0)
-        << ",\n"
-        << "    \"fused_chunks\": " << fused_pipe.chunksDelivered()
-        << ",\n"
         << "    \"opt_streaming_s\": " << opt_stream_s << ",\n"
         << "    \"opt_streaming_words_per_s\": "
         << rate(opt_stream_s) << ",\n"
@@ -727,20 +636,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
                 : 0.0)
         << "\n"
         << "  },\n"
-        << "  \"emission\": {\n"
-        << "    \"trace_words\": " << words << ",\n"
-        << "    \"backends\": {\n";
-    for (std::size_t b = 0; b < emission_timings.size(); ++b) {
-        const auto &timing = emission_timings[b];
-        out << "      \"" << timing.name << "\": {\n"
-            << "        \"threads\": " << timing.threads << ",\n"
-            << "        \"emit_s\": " << timing.s << ",\n"
-            << "        \"words_per_s\": " << rate(timing.s) << "\n"
-            << "      }" << (b + 1 < emission_timings.size() ? "," : "")
-            << "\n";
-    }
-    out << "    }\n"
-        << "  },\n"
         << "  \"orchestrator\": {\n"
         << "    \"workers\": 2,\n"
         << "    \"grid_cells\": " << orch_cells << ",\n"
@@ -779,14 +674,7 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
               << " w/s ("
               << (multi_s > 0.0 ? per_set_s / multi_s : 0.0)
               << "x vs per-set), streaming OPT " << rate(opt_stream_s)
-              << " w/s"
-              << "\nfused pipeline (all Mattson curves, one emission): "
-              << fused_pipeline_s << " s vs " << fused_separate_s
-              << " s separate passes ("
-              << (fused_pipeline_s > 0.0
-                      ? fused_separate_s / fused_pipeline_s
-                      : 0.0)
-              << "x); fully-assoc simd "
+              << " w/s; fully-assoc simd "
               << (fa_simd_s > 0.0 ? fa_scalar_s / fa_simd_s : 0.0)
               << "x vs scalar"
               << "\ncurve store (ablation job): disk-cold "

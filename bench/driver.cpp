@@ -10,7 +10,6 @@
 #include "engine/orchestrator.hpp"
 #include "engine/shard.hpp"
 #include "kernels/registry.hpp"
-#include "trace/backend.hpp"
 #include "trace/reuse.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
@@ -63,13 +62,6 @@ printUsage(const char *prog, const char *experiment,
             "                           identical for every N)\n");
     std::fprintf(
         stderr,
-        "  --backend NAME[:T]       trace-emission backend (see\n"
-        "                           --list-backends); T = worker "
-        "threads\n"
-        "                           for parallel backends (default: "
-        "the\n"
-        "                           --threads value). Output is\n"
-        "                           byte-identical for every backend\n"
         "  --analyzer PATH          set-associative row-scan path:\n"
         "                           scalar or simd (default: the\n"
         "                           KB_ANALYZER env var, else simd).\n"
@@ -119,8 +111,6 @@ printUsage(const char *prog, const char *experiment,
         "  --csv PATH               write the bench's CSV series here\n"
         "  --no-csv                 suppress CSV side outputs\n"
         "  --list-kernels           print registered kernels and exit\n"
-        "  --list-backends          print registered trace-emission\n"
-        "                           backends and exit\n"
         "  --list-analyzers         print analyzer paths (with the\n"
         "                           resolved SIMD ISA) and exit\n"
         "  --help                   this text\n");
@@ -135,15 +125,6 @@ listKernels()
         std::printf("%-18s %s\n", name.c_str(),
                     kernel->description().c_str());
     }
-}
-
-void
-listBackends()
-{
-    const auto &registry = TraceBackendRegistry::instance();
-    for (const auto &name : registry.names())
-        std::printf("%-18s %s\n", name.c_str(),
-                    registry.describe(name).c_str());
 }
 
 void
@@ -420,17 +401,9 @@ runBench(int argc, char **argv, const char *experiment,
         } else if (arg == "--list-kernels") {
             listKernels();
             return 0;
-        } else if (arg == "--list-backends") {
-            listBackends();
-            return 0;
         } else if (arg == "--list-analyzers") {
             listAnalyzers();
             return 0;
-        } else if (arg == "--backend") {
-            const char *v = value("--backend");
-            if (v == nullptr)
-                return 2;
-            opts.backend = v;
         } else if (arg == "--analyzer") {
             const char *v = value("--analyzer");
             if (v == nullptr)
@@ -565,31 +538,9 @@ runBench(int argc, char **argv, const char *experiment,
             return 2;
         }
     }
-    // Validate and apply --backend: every engine emission in this
-    // process (and in --jobs workers, which inherit the flag via
-    // self_args) renders through it. A backend spec without an
-    // explicit :T inherits the --threads value, so
-    // `--backend threaded --threads 8` sizes both the engine and the
-    // emitter.
-    if (!opts.backend.empty()) {
-        const std::string name =
-            opts.backend.substr(0, opts.backend.find(':'));
-        if (!TraceBackendRegistry::instance().contains(name)) {
-            std::string valid;
-            for (const auto &b :
-                 TraceBackendRegistry::instance().names())
-                valid += (valid.empty() ? "" : ", ") + b;
-            std::fprintf(stderr,
-                         "%s: unknown backend '%s' (valid: %s; try "
-                         "--list-backends)\n",
-                         prog, name.c_str(), valid.c_str());
-            return 2;
-        }
-        setActiveTraceBackend(opts.backend, opts.threads);
-    }
-    // Validate and apply --analyzer: like --backend, the process-wide
-    // default covers every analyzer this run constructs, and --jobs
-    // workers inherit the flag via self_args.
+    // Validate and apply --analyzer: the process-wide default covers
+    // every analyzer this run constructs, and --jobs workers inherit
+    // the flag via self_args.
     if (!opts.analyzer.empty()) {
         AnalyzerPath path;
         if (!parseAnalyzerPath(opts.analyzer, path)) {

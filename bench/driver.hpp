@@ -8,8 +8,7 @@
  * one place. Every bench now:
  *
  *   * parses the common flags (--kernel, --points, --threads,
- *     --backend, --analyzer, --csv, --no-csv, --list-kernels,
- *     --list-backends, --help);
+ *     --analyzer, --csv, --no-csv, --list-kernels, --help);
  *   * gets a BenchContext holding a ready ExperimentEngine sized by
  *     --threads;
  *   * runs its sweeps through the engine (deterministic: --threads N
@@ -83,11 +82,6 @@ struct DriverOptions
     std::vector<std::string> kernels;
     unsigned points = 0;  ///< --points: sweep samples; 0 = bench default
     unsigned threads = 0; ///< --threads: engine workers; 0 = hardware
-    /// --backend NAME[:THREADS]: trace-emission backend for every
-    /// engine emission (see trace/backend.hpp). Empty = the
-    /// KB_TRACE_BACKEND environment variable, or scalar. Output is
-    /// byte-identical across backends; only the rendering changes.
-    std::string backend;
     /// --analyzer scalar|simd: row-scan path of the set-associative
     /// analyzers (see trace/reuse.hpp). Empty = the KB_ANALYZER
     /// environment variable, or simd. Curves are bit-identical across

@@ -16,8 +16,6 @@
 #include "kernels/registry.hpp"
 #include "pebble/builders.hpp"
 #include "pebble/heuristic.hpp"
-#include "trace/backend.hpp"
-#include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
 #include "trace/sink.hpp"
@@ -73,8 +71,8 @@ BM_ReuseDistanceColdRuns(benchmark::State &state)
         static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
         ReuseDistanceAnalyzer rd;
-        rd.onRange(0, words, AccessType::Read);
-        rd.onRange(words, words, AccessType::Write);
+        rd.onRun(0, words, AccessType::Read);
+        rd.onRun(words, words, AccessType::Write);
         benchmark::DoNotOptimize(rd.coldMisses());
     }
     state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
@@ -254,47 +252,6 @@ BM_MarkRankSimd(benchmark::State &state)
 BENCHMARK(BM_MarkRankSimd);
 
 void
-BM_FusedPipeline(benchmark::State &state)
-{
-    // The fused unit end to end: one op stream rendered into the
-    // chunk ring and fanned out to a single consumer carrying every
-    // set-count plane plus the fused fully-assoc clock plane. Compare
-    // BM_MultiSetRowScan(1) + BM_ReuseHierarchical run back to back
-    // for the separate-pass cost this replaces.
-    const std::vector<std::uint64_t> sets{6, 12, 21, 39, 72, 133,
-                                          247, 512};
-    Xoshiro256 rng(7);
-    struct Run
-    {
-        std::uint64_t base;
-        std::uint64_t words;
-        bool write;
-    };
-    std::vector<Run> runs(1 << 10);
-    for (auto &r : runs)
-        r = {rng.below(1 << 14), 1 + rng.below(64),
-             rng.below(4) == 0};
-    std::uint64_t words = 0;
-    for (const auto &r : runs)
-        words += r.words;
-    for (auto _ : state) {
-        MultiSetReuseAnalyzer fused(sets, 8, AnalyzerPath::Simd,
-                                    /*fuse_fully_assoc=*/true);
-        AnalysisPipeline pipeline;
-        pipeline.attach(fused);
-        for (const auto &r : runs)
-            pipeline.onRun(r.base, r.words,
-                           r.write ? AccessType::Write
-                                   : AccessType::Read);
-        pipeline.flush();
-        benchmark::DoNotOptimize(fused.accesses());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(words));
-}
-BENCHMARK(BM_FusedPipeline);
-
-void
 BM_OptStreaming(benchmark::State &state)
 {
     // The two-pass streaming OPT walk on BM_OptSimulation's exact
@@ -390,7 +347,7 @@ BM_CountingSinkRuns(benchmark::State &state)
         static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
         CountingSink sink;
-        sink.onRange(0, words, AccessType::Read);
+        sink.onRun(0, words, AccessType::Read);
         benchmark::DoNotOptimize(sink.total());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -398,15 +355,11 @@ BM_CountingSinkRuns(benchmark::State &state)
 BENCHMARK(BM_CountingSinkRuns)->Arg(1 << 10)->Arg(1 << 20);
 
 /**
- * Trace emission through a backend into a CountingSink, per opted-in
- * kernel: the scalar oracle vs the threaded tiled emitter. On a
- * 1-CPU container the pair documents parity (the ordered pipeline's
- * overhead); the speedup claim is the multi-core CI/host number.
- * items = words emitted, so the reported rate is words/s.
+ * Trace emission into a CountingSink, per kernel. items = words
+ * emitted, so the reported rate is words/s.
  */
 void
-emitBenchmark(benchmark::State &state, const char *kernel_name,
-              const TraceBackend &backend)
+BM_EmitScalar(benchmark::State &state, const char *kernel_name)
 {
     const auto kernel =
         KernelRegistry::instance().shared(kernel_name);
@@ -418,7 +371,7 @@ emitBenchmark(benchmark::State &state, const char *kernel_name,
     std::uint64_t words = 0;
     for (auto _ : state) {
         CountingSink sink;
-        backend.emit(*kernel, n, m, sink);
+        kernel->emitTrace(n, m, sink);
         words = sink.total();
         benchmark::DoNotOptimize(words);
     }
@@ -426,30 +379,11 @@ emitBenchmark(benchmark::State &state, const char *kernel_name,
                             static_cast<std::int64_t>(words));
 }
 
-void
-BM_EmitScalar(benchmark::State &state, const char *kernel_name)
-{
-    const ScalarTraceBackend backend;
-    emitBenchmark(state, kernel_name, backend);
-}
-
-void
-BM_EmitThreaded(benchmark::State &state, const char *kernel_name)
-{
-    const ThreadedTraceBackend backend(0); // hardware threads
-    emitBenchmark(state, kernel_name, backend);
-}
-
 BENCHMARK_CAPTURE(BM_EmitScalar, matmul, "matmul");
-BENCHMARK_CAPTURE(BM_EmitThreaded, matmul, "matmul");
 BENCHMARK_CAPTURE(BM_EmitScalar, stencil9, "stencil9");
-BENCHMARK_CAPTURE(BM_EmitThreaded, stencil9, "stencil9");
 BENCHMARK_CAPTURE(BM_EmitScalar, stencil9t, "stencil9t");
-BENCHMARK_CAPTURE(BM_EmitThreaded, stencil9t, "stencil9t");
 BENCHMARK_CAPTURE(BM_EmitScalar, matvec, "matvec");
-BENCHMARK_CAPTURE(BM_EmitThreaded, matvec, "matvec");
 BENCHMARK_CAPTURE(BM_EmitScalar, fft, "fft");
-BENCHMARK_CAPTURE(BM_EmitThreaded, fft, "fft");
 
 void
 BM_StreamingReplayMatmul(benchmark::State &state)

@@ -12,7 +12,6 @@
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
 #include "mem/set_assoc.hpp"
-#include "trace/backend.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
@@ -217,8 +216,8 @@ usesJobTrace(const SweepJob &job)
 }
 
 /**
- * Emit one (n, m) trace through the fused analysis pipeline shared by
- * both replay paths: the streaming models (if any) behind one
+ * Emit one (n, m) trace through the chunked analysis pipeline shared
+ * by both replay paths: the streaming models (if any) behind one
  * ReplaySink — flushed at end of trace — plus any extra branches (the
  * stack-distance analyzers, OPT's next-use recorder). Each rendered
  * chunk fans out to every consumer before the next is rendered, so
@@ -237,20 +236,16 @@ emitThroughBranches(const Kernel &kernel, std::uint64_t n,
         branches.push_back(&*replay);
     }
     KB_ASSERT(!branches.empty());
-    // One logical emission per job regardless of how the active
-    // backend chunks its rendering — the counter and every sink
-    // downstream see the backend's single delivered stream.
     g_emissions.fetch_add(1, std::memory_order_relaxed);
-    const TraceBackend &backend = activeTraceBackend();
     if (branches.size() == 1) {
         // One consumer gets the stream directly: chunking buys
         // nothing without a fan-out to amortize it over.
-        backend.emit(kernel, n, m, *branches.front());
+        kernel.emitTrace(n, m, *branches.front());
     } else {
         AnalysisPipeline pipeline;
         for (TraceSink *branch : branches)
             pipeline.attach(*branch);
-        backend.emit(kernel, n, m, pipeline);
+        kernel.emitTrace(n, m, pipeline);
         pipeline.flush();
     }
     if (replay)
@@ -360,7 +355,7 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
 
 /**
  * The stack-distance fast path: emit the job's fixed-schedule trace
- * through the shared analyzer tee at most ONCE and fill the model
+ * through the analysis pipeline at most ONCE and fill the model
  * columns of every point from single-pass curves. LRU columns come
  * off the one-pass MissCurve; set-associative LRU columns off ONE
  * multi-plane Mattson pass serving every distinct set count on the
@@ -463,18 +458,12 @@ executeJobTrace(PreparedJob &pj)
     for (auto &[sets, curve] : sa_curves)
         if (!curve)
             missing_sets.push_back(sets);
-    // When both Mattson curves are missing, ONE fused consumer walks
-    // the trace for both: the fully associative pass rides the
-    // multi-set walk as a shared-clock plane, eliminating a whole
-    // analyzer from the fan-out (lever (a) of the fused pipeline).
     const bool need_lru = wants_lru && !lru_curve;
-    const bool fuse_lru = need_lru && !missing_sets.empty();
     if (!missing_sets.empty()) {
-        sa_analyzer.emplace(missing_sets, kSetAssocWays,
-                            activeAnalyzerPath(), fuse_lru);
+        sa_analyzer.emplace(missing_sets, kSetAssocWays);
         branches.push_back(&*sa_analyzer);
     }
-    if (need_lru && !fuse_lru)
+    if (need_lru)
         branches.push_back(&lru_analyzer);
     if (wants_opt && !opt_curve) {
         opt_recorder.emplace();
@@ -487,8 +476,7 @@ executeJobTrace(PreparedJob &pj)
 
     if (need_lru) {
         lru_curve = std::make_shared<const MissCurve>(
-            fuse_lru ? sa_analyzer->fullyAssocCurve()
-                     : lru_analyzer.missCurve());
+            lru_analyzer.missCurve());
         store.storeLru(trace_key, lru_curve);
     }
     if (sa_analyzer) {
@@ -507,8 +495,7 @@ executeJobTrace(PreparedJob &pj)
             opt_recorder->finish(
                 [&](TraceSink &sink) {
                     g_emissions.fetch_add(1, std::memory_order_relaxed);
-                    activeTraceBackend().emit(kernel, n_trace,
-                                              job.schedule_m, sink);
+                    kernel.emitTrace(n_trace, job.schedule_m, sink);
                 },
                 pj.grid));
         store.storeOpt(trace_key, opt_curve);

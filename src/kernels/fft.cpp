@@ -45,7 +45,7 @@ struct FftContext
     traceRange(std::uint64_t base, std::uint64_t words, AccessType type)
     {
         if (sink)
-            sink->onRange(base, words, type);
+            sink->onRun(base, words, type);
     }
 };
 
@@ -212,118 +212,6 @@ extFft(FftContext &ctx, cd *x, std::uint64_t addr, std::uint64_t n,
     extTranspose(ctx, z.data(), z_addr, x, addr, n1, n2);
 }
 
-/**
- * Data-free mirror of extFft's trace structure. Every traceRange call
- * in the external FFT takes its base and length from address
- * arithmetic and the deterministic bump allocator, never from sample
- * data — so this walker re-runs exactly that arithmetic, assigning
- * one tile to each in-core leaf block, each transpose tile, and each
- * twiddle chunk, in emission order. emitTiles can then emit any
- * [lo, hi) slice without computing a single butterfly, while
- * emitTrace (which runs the real transform) stays the oracle the
- * walker is diff-tested against.
- */
-struct FftTileWalker
-{
-    std::uint64_t in_core;   ///< P: max in-core transform size
-    std::uint64_t tile_edge; ///< transpose tile edge (extTranspose's t)
-    std::uint64_t chunk;     ///< twiddle chunk length (the capacity M)
-    std::uint64_t next_addr; ///< the same bump allocator as FftContext
-    std::uint64_t lo = 0;    ///< emit tiles in [lo, hi) only
-    std::uint64_t hi = 0;
-    TraceSink *sink = nullptr; ///< null = count tiles only
-    std::uint64_t counter = 0; ///< tiles passed so far
-
-    /** Advance the tile counter; true iff this tile must be emitted. */
-    bool
-    tick()
-    {
-        const bool live =
-            sink != nullptr && counter >= lo && counter < hi;
-        ++counter;
-        return live;
-    }
-
-    std::uint64_t
-    allocAddrs(std::uint64_t words)
-    {
-        const std::uint64_t base = next_addr;
-        next_addr += words;
-        return base;
-    }
-
-    void
-    transpose(std::uint64_t src_addr, std::uint64_t dst_addr,
-              std::uint64_t rows, std::uint64_t cols)
-    {
-        for (std::uint64_t r0 = 0; r0 < rows; r0 += tile_edge) {
-            const std::uint64_t tr = std::min(tile_edge, rows - r0);
-            for (std::uint64_t c0 = 0; c0 < cols; c0 += tile_edge) {
-                const std::uint64_t tc = std::min(tile_edge, cols - c0);
-                if (!tick())
-                    continue;
-                for (std::uint64_t r = 0; r < tr; ++r)
-                    sink->onRange(src_addr + (r0 + r) * cols + c0, tc,
-                                  AccessType::Read);
-                for (std::uint64_t c = 0; c < tc; ++c)
-                    sink->onRange(dst_addr + (c0 + c) * rows + r0, tr,
-                                  AccessType::Write);
-            }
-        }
-    }
-
-    void
-    twiddle(std::uint64_t addr, std::uint64_t n)
-    {
-        for (std::uint64_t off = 0; off < n; off += chunk) {
-            const std::uint64_t len = std::min(chunk, n - off);
-            if (!tick())
-                continue;
-            sink->onRange(addr + off, len, AccessType::Read);
-            sink->onRange(addr + off, len, AccessType::Write);
-        }
-    }
-
-    void
-    fft(std::uint64_t addr, std::uint64_t n)
-    {
-        if (n <= in_core) {
-            if (tick()) {
-                sink->onRange(addr, n, AccessType::Read);
-                sink->onRange(addr, n, AccessType::Write);
-            }
-            return;
-        }
-
-        const std::uint64_t n1 = in_core;
-        const std::uint64_t n2 = n / n1;
-        const std::uint64_t y_addr = allocAddrs(n);
-        const std::uint64_t z_addr = allocAddrs(n);
-
-        transpose(addr, y_addr, n1, n2);
-        for (std::uint64_t j2 = 0; j2 < n2; ++j2)
-            fft(y_addr + j2 * n1, n1);
-        twiddle(y_addr, n);
-        transpose(y_addr, z_addr, n2, n1);
-        for (std::uint64_t k1 = 0; k1 < n1; ++k1)
-            fft(z_addr + k1 * n2, n2);
-        transpose(z_addr, addr, n1, n2);
-    }
-};
-
-FftTileWalker
-makeFftWalker(std::uint64_t n, std::uint64_t m)
-{
-    KB_REQUIRE(isPow2(n), "FFT size must be a power of two");
-    KB_REQUIRE(m >= 4, "FFT needs m >= 4");
-    FftTileWalker w;
-    w.in_core = FftKernel::inCorePoints(m);
-    w.tile_edge = std::max<std::uint64_t>(1, isqrt(m));
-    w.chunk = m;
-    w.next_addr = n;
-    return w;
-}
-
 } // namespace
 
 std::uint64_t
@@ -452,25 +340,6 @@ FftKernel::emitTrace(std::uint64_t n, std::uint64_t m,
     FftContext ctx{pad, inCorePoints(m), &sink};
     ctx.next_addr = n;
     extFft(ctx, x.data(), 0, n, 0);
-}
-
-TilePlan
-FftKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    FftTileWalker w = makeFftWalker(n, m);
-    w.fft(0, n);
-    return TilePlan{w.counter};
-}
-
-void
-FftKernel::emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                     std::uint64_t hi, TraceSink &sink) const
-{
-    FftTileWalker w = makeFftWalker(n, m);
-    w.lo = lo;
-    w.hi = hi;
-    w.sink = &sink;
-    w.fft(0, n);
 }
 
 FftDecomposition

@@ -66,17 +66,6 @@ class FftKernel : public Kernel
                          bool verify = true) const override;
     void emitTrace(std::uint64_t n, std::uint64_t m,
                    TraceSink &sink) const override;
-    /**
-     * One tile per in-core leaf block, transpose tile, and twiddle
-     * chunk of the four-step recursion, in emission order. The trace
-     * is purely structural (addresses come from the deterministic
-     * bump allocator, never from sample data), so tiles are walked
-     * without computing any butterflies; emitTrace — which runs the
-     * real transform — stays the oracle the walker is tested against.
-     */
-    TilePlan tilePlan(std::uint64_t n, std::uint64_t m) const override;
-    void emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                   std::uint64_t hi, TraceSink &sink) const override;
     std::uint64_t minMemory(std::uint64_t n) const override;
     std::uint64_t suggestProblemSize(std::uint64_t m_max) const override;
 

@@ -512,28 +512,6 @@ void
 GridKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                       TraceSink &sink) const
 {
-    walkTiles(n, m, 0, ~std::uint64_t{0}, &sink);
-}
-
-TilePlan
-GridKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    return TilePlan{walkTiles(n, m, 0, 0, nullptr)};
-}
-
-void
-GridKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                      std::uint64_t lo, std::uint64_t hi,
-                      TraceSink &sink) const
-{
-    walkTiles(n, m, lo, hi, &sink);
-}
-
-std::uint64_t
-GridKernel::walkTiles(std::uint64_t n, std::uint64_t m,
-                      std::uint64_t lo, std::uint64_t hi,
-                      TraceSink *sink) const
-{
     KB_REQUIRE(m >= minMemory(n), "grid memory too small for dim");
     const std::uint64_t g = n;
     const std::int64_t gi = static_cast<std::int64_t>(g);
@@ -548,10 +526,8 @@ GridKernel::walkTiles(std::uint64_t n, std::uint64_t m,
     const Index gst = strides(all);
     const ArrayLayout grid_words(0, ipow(g, dim_));
 
-    std::uint64_t t = 0;
-    // One tile per trapezoid block per temporal stage; last-axis rows
-    // of the halo read and core write are contiguous, so each is one
-    // run. The word sequence matches the historical per-word walk.
+    // Last-axis rows of each trapezoid block's halo read and core
+    // write are contiguous, so each is one run.
     std::uint64_t done = 0;
     while (done < iterations_) {
         const std::uint64_t tau =
@@ -564,10 +540,6 @@ GridKernel::walkTiles(std::uint64_t n, std::uint64_t m,
                             static_cast<std::int64_t>(s);
 
         forEachIn(origins, [&](const Index &blk) {
-            const bool emit = sink != nullptr && t >= lo && t < hi;
-            ++t;
-            if (!emit)
-                return;
             Box core{dim_, {}, {}};
             Box in_grid{dim_, {}, {}};
             for (unsigned k = 0; k < dim_; ++k) {
@@ -581,19 +553,18 @@ GridKernel::walkTiles(std::uint64_t n, std::uint64_t m,
             }
             forEachRow(in_grid, [&](const Index &x,
                                     std::uint64_t len) {
-                sink->onRun(grid_words.at(static_cast<std::uint64_t>(
-                                offsetIn(all, gst, x))),
-                            len, AccessType::Read);
+                sink.onRun(grid_words.at(static_cast<std::uint64_t>(
+                               offsetIn(all, gst, x))),
+                           len, AccessType::Read);
             });
             forEachRow(core, [&](const Index &x, std::uint64_t len) {
-                sink->onRun(grid_words.at(static_cast<std::uint64_t>(
-                                offsetIn(all, gst, x))),
-                            len, AccessType::Write);
+                sink.onRun(grid_words.at(static_cast<std::uint64_t>(
+                               offsetIn(all, gst, x))),
+                           len, AccessType::Write);
             });
         });
         done += tau;
     }
-    return t;
 }
 
 

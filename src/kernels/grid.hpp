@@ -62,10 +62,6 @@ class GridKernel : public Kernel
                          bool verify = true) const override;
     void emitTrace(std::uint64_t n, std::uint64_t m,
                    TraceSink &sink) const override;
-    /** One tile per trapezoid block per temporal stage. */
-    TilePlan tilePlan(std::uint64_t n, std::uint64_t m) const override;
-    void emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                   std::uint64_t hi, TraceSink &sink) const override;
     std::uint64_t minMemory(std::uint64_t n) const override;
     std::uint64_t suggestProblemSize(std::uint64_t m_max) const override;
 
@@ -107,15 +103,6 @@ class GridKernel : public Kernel
                                  bool verify = true) const;
 
   private:
-    /**
-     * Shared walk behind tilePlan()/emitTiles(): enumerates trapezoid
-     * blocks in emission order, emits blocks [lo, hi) into @p sink
-     * when non-null, and returns the total block count.
-     */
-    std::uint64_t walkTiles(std::uint64_t n, std::uint64_t m,
-                            std::uint64_t lo, std::uint64_t hi,
-                            TraceSink *sink) const;
-
     unsigned dim_;
     std::uint64_t iterations_;
 };

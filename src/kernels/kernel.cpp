@@ -5,17 +5,6 @@
 
 namespace kb {
 
-void
-Kernel::emitTiles(std::uint64_t, std::uint64_t, std::uint64_t,
-                  std::uint64_t, TraceSink &) const
-{
-    // Reaching this is a backend bug: emitTiles may only be called
-    // when tilePlan() declared tiles, and the default plan declares
-    // none.
-    KB_ASSERT(false, "kernel '", name(),
-              "' declares no tile plan; emit through emitTrace()");
-}
-
 RatioPoint
 Kernel::measureRatioPoint(std::uint64_t n_hint, std::uint64_t m) const
 {

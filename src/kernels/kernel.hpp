@@ -46,17 +46,6 @@ struct RatioPoint
 };
 
 /**
- * A kernel schedule described as an ordered sequence of independently
- * emittable tiles (see Kernel::emitTiles). tiles == 0 declares no
- * tiled form: emission backends then fall back to the scalar
- * emitTrace() path.
- */
-struct TilePlan
-{
-    std::uint64_t tiles = 0; ///< tile count; 0 = scalar emission only
-};
-
-/**
  * One of the paper's computations, packaged with its decomposition
  * scheme for a local memory of M words.
  *
@@ -115,35 +104,6 @@ class Kernel
      */
     virtual void emitTrace(std::uint64_t n, std::uint64_t m,
                            TraceSink &sink) const = 0;
-
-    /**
-     * Describe the (n, m) schedule's trace as an ordered sequence of
-     * independently emittable tiles. The contract emission backends
-     * build on (trace/backend.hpp): concatenating
-     * emitTiles(n, m, t, t+1, sink) over t = 0 .. tiles-1 reproduces
-     * emitTrace(n, m, sink)'s exact sink-call sequence — the same
-     * onAccess/onRun split, in the same order — and any [lo, hi)
-     * chunking of the tile range concatenates to that same stream.
-     * The default declares no tiled form (tiles == 0), which makes
-     * every backend fall back to the scalar emitTrace() path; kernels
-     * opt in by overriding this together with emitTiles().
-     */
-    virtual TilePlan
-    tilePlan(std::uint64_t /*n*/, std::uint64_t /*m*/) const
-    {
-        return {};
-    }
-
-    /**
-     * Emit tiles [lo, hi) of tilePlan(n, m) into @p sink, in tile
-     * order. Only meaningful when tilePlan() declared tiles (the
-     * default panics). Same thread-safety contract as emitTrace():
-     * parallel backends call it concurrently on disjoint ranges of
-     * one shared instance.
-     */
-    virtual void emitTiles(std::uint64_t n, std::uint64_t m,
-                           std::uint64_t lo, std::uint64_t hi,
-                           TraceSink &sink) const;
 
     /** Smallest local memory for which the schedule is defined. */
     virtual std::uint64_t minMemory(std::uint64_t n) const = 0;

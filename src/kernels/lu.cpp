@@ -229,88 +229,48 @@ void
 LuKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                     TraceSink &sink) const
 {
-    walkTiles(n, m, 0, ~std::uint64_t{0}, &sink);
-}
-
-TilePlan
-LuKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    return TilePlan{walkTiles(n, m, 0, 0, nullptr)};
-}
-
-void
-LuKernel::emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                    std::uint64_t hi, TraceSink &sink) const
-{
-    walkTiles(n, m, lo, hi, &sink);
-}
-
-std::uint64_t
-LuKernel::walkTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                    std::uint64_t hi, TraceSink *sink) const
-{
     KB_REQUIRE(m >= minMemory(n), "LU needs m >= 3");
     const std::uint64_t b = tileSize(m);
     const MatrixLayout la(0, n, n);
 
     // Tile rows are contiguous in the row-major layout, so each tile
-    // is emitted as one run per row; the word sequence is identical
-    // to the historical per-word emission.
+    // is emitted as one run per row.
     auto read_tile = [&](std::uint64_t r0, std::uint64_t c0,
                          std::uint64_t rows, std::uint64_t cols) {
         for (std::uint64_t i = 0; i < rows; ++i)
-            sink->onRun(la.at(r0 + i, c0), cols, AccessType::Read);
+            sink.onRun(la.at(r0 + i, c0), cols, AccessType::Read);
     };
     auto write_tile = [&](std::uint64_t r0, std::uint64_t c0,
                           std::uint64_t rows, std::uint64_t cols) {
         for (std::uint64_t i = 0; i < rows; ++i)
-            sink->onRun(la.at(r0 + i, c0), cols, AccessType::Write);
-    };
-
-    std::uint64_t t = 0;
-    // One schedule unit == one tile of the plan; emit only those in
-    // [lo, hi). The walk itself is a handful of loop counters, so
-    // skipped units cost nothing.
-    auto unit = [&](auto &&emit) {
-        if (sink != nullptr && t >= lo && t < hi)
-            emit();
-        ++t;
+            sink.onRun(la.at(r0 + i, c0), cols, AccessType::Write);
     };
 
     for (std::uint64_t k0 = 0; k0 < n; k0 += b) {
         const std::uint64_t tk = std::min(b, n - k0);
-        unit([&] {
-            read_tile(k0, k0, tk, tk);
-            write_tile(k0, k0, tk, tk);
-        });
+        read_tile(k0, k0, tk, tk);
+        write_tile(k0, k0, tk, tk);
         for (std::uint64_t i0 = k0 + tk; i0 < n; i0 += b) {
             const std::uint64_t ti = std::min(b, n - i0);
-            unit([&] {
-                read_tile(i0, k0, ti, tk);
-                write_tile(i0, k0, ti, tk);
-            });
+            read_tile(i0, k0, ti, tk);
+            write_tile(i0, k0, ti, tk);
         }
         for (std::uint64_t j0 = k0 + tk; j0 < n; j0 += b) {
             const std::uint64_t tj = std::min(b, n - j0);
-            unit([&] {
-                read_tile(k0, j0, tk, tj);
-                write_tile(k0, j0, tk, tj);
-            });
+            read_tile(k0, j0, tk, tj);
+            write_tile(k0, j0, tk, tj);
         }
         for (std::uint64_t i0 = k0 + tk; i0 < n; i0 += b) {
             const std::uint64_t ti = std::min(b, n - i0);
-            unit([&] {
-                read_tile(i0, k0, ti, tk);
-                for (std::uint64_t j0 = k0 + tk; j0 < n; j0 += b) {
-                    const std::uint64_t tj = std::min(b, n - j0);
-                    read_tile(k0, j0, tk, tj);
-                    read_tile(i0, j0, ti, tj);
-                    write_tile(i0, j0, ti, tj);
-                }
-            });
+            read_tile(i0, k0, ti, tk);
+            for (std::uint64_t j0 = k0 + tk; j0 < n; j0 += b) {
+                const std::uint64_t tj = std::min(b, n - j0);
+                read_tile(k0, j0, tk, tj);
+                read_tile(i0, j0, ti, tj);
+                write_tile(i0, j0, ti, tj);
+            }
         }
     }
-    return t;
 }
 
 

@@ -43,15 +43,6 @@ class LuKernel : public Kernel
                          bool verify = true) const override;
     void emitTrace(std::uint64_t n, std::uint64_t m,
                    TraceSink &sink) const override;
-    /**
-     * One tile per schedule unit: per k0 step the diagonal
-     * factorization, then one tile per L-panel block, per U-panel
-     * block, and per trailing row of tiles (the i0 loop body with its
-     * full j0 sweep).
-     */
-    TilePlan tilePlan(std::uint64_t n, std::uint64_t m) const override;
-    void emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                   std::uint64_t hi, TraceSink &sink) const override;
     std::uint64_t minMemory(std::uint64_t n) const override;
     std::uint64_t suggestProblemSize(std::uint64_t m_max) const override;
 
@@ -65,17 +56,6 @@ class LuKernel : public Kernel
 
     /** Largest tile edge b with 3 b^2 <= m (at least 1). */
     static std::uint64_t tileSize(std::uint64_t m);
-
-  private:
-    /**
-     * Shared walk behind tilePlan()/emitTiles(): enumerates schedule
-     * units in emission order, emits units [lo, hi) into @p sink when
-     * non-null, and returns the total unit count — one code path, so
-     * the plan and the emission cannot disagree.
-     */
-    std::uint64_t walkTiles(std::uint64_t n, std::uint64_t m,
-                            std::uint64_t lo, std::uint64_t hi,
-                            TraceSink *sink) const;
 };
 
 /**

@@ -150,53 +150,34 @@ void
 MatmulKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                         TraceSink &sink) const
 {
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-MatmulKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    const std::uint64_t b = tileSize(m);
-    const std::uint64_t side = (n + b - 1) / b;
-    return TilePlan{side * side};
-}
-
-void
-MatmulKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                        std::uint64_t lo, std::uint64_t hi,
-                        TraceSink &sink) const
-{
     KB_REQUIRE(m >= minMemory(n), "matmul needs m >= 3");
     const std::uint64_t b = tileSize(m);
-    const std::uint64_t side = (n + b - 1) / b;
 
     const MatrixLayout la(0, n, n);
     const MatrixLayout lb(la.end(), n, n);
     const MatrixLayout lc(lb.end(), n, n);
 
-    // Tile t is the C tile at (i0, j0) = (t / side * b, t % side * b):
-    // the schedule's (i0, j0) loop nest, linearized.
-    for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint64_t i0 = (t / side) * b;
-        const std::uint64_t j0 = (t % side) * b;
+    for (std::uint64_t i0 = 0; i0 < n; i0 += b) {
         const std::uint64_t ti = std::min(b, n - i0);
-        const std::uint64_t tj = std::min(b, n - j0);
-        for (std::uint64_t k = 0; k < n; ++k) {
-            // The A column is strided (one element per row), the
-            // B row and each C tile row are contiguous — emit the
-            // contiguous pieces as runs so sinks with a bulk
-            // onRun path (the analyzers, counting/null sinks) see
-            // whole rows per call instead of a virtual call per
-            // word. The access sequence is identical either way.
-            for (std::uint64_t i = 0; i < ti; ++i)
-                sink.onAccess(readOf(la.at(i0 + i, k)));
-            sink.onRun(lb.at(k, j0), tj, AccessType::Read);
-            // Accumulation keeps the C tile hot in any
-            // recency-based memory, mirroring its residency in the
-            // scratchpad schedule.
-            for (std::uint64_t i = 0; i < ti; ++i)
-                sink.onRun(lc.at(i0 + i, j0), tj,
-                           AccessType::Write);
+        for (std::uint64_t j0 = 0; j0 < n; j0 += b) {
+            const std::uint64_t tj = std::min(b, n - j0);
+            for (std::uint64_t k = 0; k < n; ++k) {
+                // The A column is strided (one element per row), the
+                // B row and each C tile row are contiguous — emit the
+                // contiguous pieces as runs so sinks with a bulk
+                // onRun path (the analyzers, counting/null sinks) see
+                // whole rows per call instead of a virtual call per
+                // word. The access sequence is identical either way.
+                for (std::uint64_t i = 0; i < ti; ++i)
+                    sink.onAccess(readOf(la.at(i0 + i, k)));
+                sink.onRun(lb.at(k, j0), tj, AccessType::Read);
+                // Accumulation keeps the C tile hot in any
+                // recency-based memory, mirroring its residency in the
+                // scratchpad schedule.
+                for (std::uint64_t i = 0; i < ti; ++i)
+                    sink.onRun(lc.at(i0 + i, j0), tj,
+                               AccessType::Write);
+            }
         }
     }
 }

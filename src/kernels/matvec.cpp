@@ -121,29 +121,12 @@ void
 MatvecKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                         TraceSink &sink) const
 {
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-MatvecKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    const std::uint64_t br = std::min(blockRows(m), n);
-    return TilePlan{(n + br - 1) / br};
-}
-
-void
-MatvecKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                        std::uint64_t lo, std::uint64_t hi,
-                        TraceSink &sink) const
-{
     const std::uint64_t br = std::min(blockRows(m), n);
     const MatrixLayout la(0, n, n);
     const ArrayLayout lx(la.end(), n);
     const ArrayLayout ly(lx.end(), n);
 
-    // Tile t is the row block starting at i0 = t * br.
-    for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint64_t i0 = t * br;
+    for (std::uint64_t i0 = 0; i0 < n; i0 += br) {
         const std::uint64_t bi = std::min(br, n - i0);
         for (std::uint64_t j = 0; j < n; ++j) {
             sink.onAccess(readOf(lx.at(j)));

@@ -233,26 +233,6 @@ void
 QrKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                     TraceSink &sink) const
 {
-    walkTiles(n, m, 0, ~std::uint64_t{0}, &sink);
-}
-
-TilePlan
-QrKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    return TilePlan{walkTiles(n, m, 0, 0, nullptr)};
-}
-
-void
-QrKernel::emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                    std::uint64_t hi, TraceSink &sink) const
-{
-    walkTiles(n, m, lo, hi, &sink);
-}
-
-std::uint64_t
-QrKernel::walkTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                    std::uint64_t hi, TraceSink *sink) const
-{
     KB_REQUIRE(m >= minMemory(n), "QR needs m >= 4");
     const std::uint64_t b =
         std::max<std::uint64_t>(1, std::min(panelWidth(m), isqrt(n)));
@@ -261,59 +241,45 @@ QrKernel::walkTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
 
     // Multi-column ranges touch contiguous row segments, so emit one
     // run per row; single columns are stride-n walks and stay
-    // per-word. The word sequence matches the historical per-word
-    // emission exactly.
+    // per-word.
     auto col_range = [&](std::uint64_t i0, std::uint64_t rows,
                          std::uint64_t c0, std::uint64_t cols,
                          AccessType type) {
         if (cols == 1) {
             for (std::uint64_t i = 0; i < rows; ++i)
-                sink->onAccess(Access{lq.at(i0 + i, c0), type});
+                sink.onAccess(Access{lq.at(i0 + i, c0), type});
             return;
         }
         for (std::uint64_t i = 0; i < rows; ++i)
-            sink->onRun(lq.at(i0 + i, c0), cols, type);
-    };
-
-    std::uint64_t t = 0;
-    auto unit = [&](auto &&emit) {
-        if (sink != nullptr && t >= lo && t < hi)
-            emit();
-        ++t;
+            sink.onRun(lq.at(i0 + i, c0), cols, type);
     };
 
     for (std::uint64_t k0 = 0; k0 < n; k0 += b) {
         const std::uint64_t tb = std::min(b, n - k0);
         for (std::uint64_t p0 = 0; p0 < k0; p0 += b) {
             const std::uint64_t pb = std::min(b, k0 - p0);
-            unit([&] {
-                for (int pass = 0; pass < 2; ++pass) {
-                    for (std::uint64_t i0 = 0; i0 < n; i0 += b) {
-                        const std::uint64_t tr = std::min(b, n - i0);
-                        col_range(i0, tr, p0, pb, AccessType::Read);
-                        col_range(i0, tr, k0, tb,
-                                  pass ? AccessType::Write
-                                       : AccessType::Read);
-                    }
+            for (int pass = 0; pass < 2; ++pass) {
+                for (std::uint64_t i0 = 0; i0 < n; i0 += b) {
+                    const std::uint64_t tr = std::min(b, n - i0);
+                    col_range(i0, tr, p0, pb, AccessType::Read);
+                    col_range(i0, tr, k0, tb,
+                              pass ? AccessType::Write
+                                   : AccessType::Read);
                 }
-                for (std::uint64_t pj = 0; pj < pb; ++pj)
-                    sink->onRun(lr.at(p0 + pj, k0), tb,
-                                AccessType::Write);
-            });
+            }
+            for (std::uint64_t pj = 0; pj < pb; ++pj)
+                sink.onRun(lr.at(p0 + pj, k0), tb, AccessType::Write);
         }
         for (std::uint64_t j = k0; j < k0 + tb; ++j) {
-            unit([&] {
+            col_range(0, n, j, 1, AccessType::Read);
+            col_range(0, n, j, 1, AccessType::Write);
+            for (std::uint64_t jj = j + 1; jj < k0 + tb; ++jj) {
                 col_range(0, n, j, 1, AccessType::Read);
-                col_range(0, n, j, 1, AccessType::Write);
-                for (std::uint64_t jj = j + 1; jj < k0 + tb; ++jj) {
-                    col_range(0, n, j, 1, AccessType::Read);
-                    col_range(0, n, jj, 1, AccessType::Read);
-                    col_range(0, n, jj, 1, AccessType::Write);
-                }
-            });
+                col_range(0, n, jj, 1, AccessType::Read);
+                col_range(0, n, jj, 1, AccessType::Write);
+            }
         }
     }
-    return t;
 }
 
 

@@ -48,14 +48,6 @@ class QrKernel : public Kernel
                          bool verify = true) const override;
     void emitTrace(std::uint64_t n, std::uint64_t m,
                    TraceSink &sink) const override;
-    /**
-     * One tile per schedule unit: per k0 panel, one tile per earlier
-     * panel p0 (both re-orthogonalization passes plus the R block
-     * write), then one tile per in-panel column j.
-     */
-    TilePlan tilePlan(std::uint64_t n, std::uint64_t m) const override;
-    void emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                   std::uint64_t hi, TraceSink &sink) const override;
     std::uint64_t minMemory(std::uint64_t n) const override;
     std::uint64_t suggestProblemSize(std::uint64_t m_max) const override;
 
@@ -69,16 +61,6 @@ class QrKernel : public Kernel
 
     /** Panel width b with 3 b^2 <= m (at least 1). */
     static std::uint64_t panelWidth(std::uint64_t m);
-
-  private:
-    /**
-     * Shared walk behind tilePlan()/emitTiles(): enumerates schedule
-     * units in emission order, emits units [lo, hi) into @p sink when
-     * non-null, and returns the total unit count.
-     */
-    std::uint64_t walkTiles(std::uint64_t n, std::uint64_t m,
-                            std::uint64_t lo, std::uint64_t hi,
-                            TraceSink *sink) const;
 };
 
 } // namespace kb

@@ -228,39 +228,7 @@ void
 SortKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                       TraceSink &sink) const
 {
-    walkTiles(n, m, 0, ~std::uint64_t{0}, &sink);
-}
-
-TilePlan
-SortKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    return TilePlan{walkTiles(n, m, 0, 0, nullptr)};
-}
-
-void
-SortKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                      std::uint64_t lo, std::uint64_t hi,
-                      TraceSink &sink) const
-{
-    walkTiles(n, m, lo, hi, &sink);
-}
-
-std::uint64_t
-SortKernel::walkTiles(std::uint64_t n, std::uint64_t m,
-                      std::uint64_t lo, std::uint64_t hi,
-                      TraceSink *sink) const
-{
     KB_REQUIRE(m >= minMemory(n), "sort needs m >= 8");
-
-    std::uint64_t t = 0;
-    // One schedule unit == one tile. The run bookkeeping below is
-    // pure arithmetic and always runs, so skipped units leave the
-    // address map exactly where the full emission would.
-    auto unit = [&](auto &&emit) {
-        if (sink != nullptr && t >= lo && t < hi)
-            emit();
-        ++t;
-    };
 
     // Address map: input at [0, n); each phase writes fresh ranges.
     std::uint64_t next_base = n;
@@ -275,10 +243,8 @@ SortKernel::walkTiles(std::uint64_t n, std::uint64_t m,
     std::vector<RunRange> runs;
     for (std::uint64_t off = 0; off < n; off += m) {
         const std::uint64_t len = std::min(m, n - off);
-        unit([&] {
-            sink->onRange(off, len, AccessType::Read);
-            sink->onRange(next_base, len, AccessType::Write);
-        });
+        sink.onRun(off, len, AccessType::Read);
+        sink.onRun(next_base, len, AccessType::Write);
         runs.push_back({next_base, len});
         next_base += len;
     }
@@ -289,40 +255,31 @@ SortKernel::walkTiles(std::uint64_t n, std::uint64_t m,
         for (std::size_t g0 = 0; g0 < runs.size(); g0 += fan) {
             const std::size_t g1 = std::min(g0 + fan, runs.size());
             if (g1 - g0 == 1) {
-                // Pass-through runs emit nothing, so they are not
-                // tiles.
                 next_runs.push_back(runs[g0]);
                 continue;
             }
             std::uint64_t total = 0;
-            for (std::size_t r = g0; r < g1; ++r)
-                total += runs[r].len;
+            // Deterministic interleave approximating the data-driven
+            // merge order: round-robin over the input runs.
+            std::vector<std::uint64_t> pos(g1 - g0, 0);
             const std::uint64_t out_base = next_base;
-            unit([&] {
-                // Deterministic interleave approximating the
-                // data-driven merge order: round-robin over the input
-                // runs.
-                std::vector<std::uint64_t> pos(g1 - g0, 0);
-                std::uint64_t written = 0;
-                bool any = true;
-                while (any) {
-                    any = false;
-                    for (std::size_t r = 0; r < g1 - g0; ++r) {
-                        if (pos[r] < runs[g0 + r].len) {
-                            sink->onAccess(
-                                readOf(runs[g0 + r].base + pos[r]++));
-                            sink->onAccess(writeOf(out_base + written++));
-                            any = true;
-                        }
+            bool any = true;
+            while (any) {
+                any = false;
+                for (std::size_t r = 0; r < g1 - g0; ++r) {
+                    if (pos[r] < runs[g0 + r].len) {
+                        sink.onAccess(
+                            readOf(runs[g0 + r].base + pos[r]++));
+                        sink.onAccess(writeOf(out_base + total++));
+                        any = true;
                     }
                 }
-            });
+            }
             next_runs.push_back({out_base, total});
             next_base += total;
         }
         runs.swap(next_runs);
     }
-    return t;
 }
 
 

@@ -48,15 +48,6 @@ class SortKernel : public Kernel
                          bool verify = true) const override;
     void emitTrace(std::uint64_t n, std::uint64_t m,
                    TraceSink &sink) const override;
-    /**
-     * One tile per phase-1 run formation plus one per multi-way merge
-     * group (pass-through groups emit nothing and are not tiles). The
-     * run bookkeeping is deterministic, so any subrange reproduces the
-     * scalar emission exactly.
-     */
-    TilePlan tilePlan(std::uint64_t n, std::uint64_t m) const override;
-    void emitTiles(std::uint64_t n, std::uint64_t m, std::uint64_t lo,
-                   std::uint64_t hi, TraceSink &sink) const override;
     std::uint64_t minMemory(std::uint64_t n) const override;
     std::uint64_t suggestProblemSize(std::uint64_t m_max) const override;
 
@@ -75,16 +66,6 @@ class SortKernel : public Kernel
         m_lo = 32;
         m_hi = 1024;
     }
-
-  private:
-    /**
-     * Shared walk behind tilePlan()/emitTiles(): enumerates schedule
-     * units in emission order, emits units [lo, hi) into @p sink when
-     * non-null, and returns the total unit count.
-     */
-    std::uint64_t walkTiles(std::uint64_t n, std::uint64_t m,
-                            std::uint64_t lo, std::uint64_t hi,
-                            TraceSink *sink) const;
 };
 
 /** Deterministic keys used by measure(). */

@@ -145,36 +145,8 @@ SpmvKernel::measure(std::uint64_t n, std::uint64_t m, bool verify) const
     return out;
 }
 
-namespace {
-
-/** Rows per tile: keeps the plan at <= 64 tiles so each emitTiles()
- *  call regenerates the CSR pattern at most once per ~n/64 rows. */
-std::uint64_t
-spmvRowsPerTile(std::uint64_t n)
-{
-    return std::max<std::uint64_t>(1, (n + 63) / 64);
-}
-
-} // namespace
-
 void
 SpmvKernel::emitTrace(std::uint64_t n, std::uint64_t m,
-                      TraceSink &sink) const
-{
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-SpmvKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    KB_REQUIRE(m >= minMemory(n), "spmv needs m >= 8");
-    const std::uint64_t rows = spmvRowsPerTile(n);
-    return TilePlan{(n + rows - 1) / rows};
-}
-
-void
-SpmvKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                      std::uint64_t lo, std::uint64_t hi,
                       TraceSink &sink) const
 {
     KB_REQUIRE(m >= minMemory(n), "spmv needs m >= 8");
@@ -185,14 +157,7 @@ SpmvKernel::emitTiles(std::uint64_t n, std::uint64_t m,
     const ArrayLayout lx(cols.end(), n);
     const ArrayLayout ly(lx.end(), n);
 
-    // Tile t covers matrix rows [t * rows, min((t+1) * rows, n)).
-    // The vals/cols/x-gather interleave within a row is genuinely
-    // per-word (the gather address depends on the pattern), so rows
-    // stay per-word.
-    const std::uint64_t rows = spmvRowsPerTile(n);
-    const std::uint64_t i_lo = lo * rows;
-    const std::uint64_t i_hi = std::min(n, hi * rows);
-    for (std::uint64_t i = i_lo; i < i_hi; ++i) {
+    for (std::uint64_t i = 0; i < n; ++i) {
         for (std::uint64_t k = 0; k < row_nnz_; ++k) {
             sink.onAccess(readOf(vals.at(i * row_nnz_ + k)));
             sink.onAccess(readOf(cols.at(i * row_nnz_ + k)));

@@ -192,48 +192,31 @@ void
 Stencil9Kernel::emitTrace(std::uint64_t n, std::uint64_t m,
                           TraceSink &sink) const
 {
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-Stencil9Kernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
     const std::uint64_t g = n;
     const std::uint64_t s = std::min(coreEdge(m), g);
-    const std::uint64_t side = (g + s - 1) / s;
-    return TilePlan{iterations_ * side * side};
-}
-
-void
-Stencil9Kernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                          std::uint64_t lo, std::uint64_t hi,
-                          TraceSink &sink) const
-{
-    const std::uint64_t g = n;
-    const std::uint64_t s = std::min(coreEdge(m), g);
-    const std::uint64_t side = (g + s - 1) / s;
     // Two logical arrays ping-ponged across sweeps, like the real
     // schedule's cur/next.
     const MatrixLayout a(0, g, g);
     const MatrixLayout b(a.end(), g, g);
 
-    // Tile t linearizes the (sweep, i0, j0) loop nest.
-    for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint64_t sweep = t / (side * side);
-        const std::uint64_t i0 = (t / side % side) * s;
-        const std::uint64_t j0 = (t % side) * s;
+    for (std::uint64_t sweep = 0; sweep < iterations_; ++sweep) {
         const MatrixLayout &src = (sweep % 2 == 0) ? a : b;
         const MatrixLayout &dst = (sweep % 2 == 0) ? b : a;
-        const std::uint64_t bi = std::min(s, g - i0);
-        const std::uint64_t bj = std::min(s, g - j0);
-        const std::uint64_t ri = i0 == 0 ? 0 : i0 - 1;
-        const std::uint64_t rj = j0 == 0 ? 0 : j0 - 1;
-        const std::uint64_t re = std::min(g, i0 + bi + 1);
-        const std::uint64_t ce = std::min(g, j0 + bj + 1);
-        for (std::uint64_t r = ri; r < re; ++r)
-            sink.onRun(src.at(r, rj), ce - rj, AccessType::Read);
-        for (std::uint64_t i = i0; i < i0 + bi; ++i)
-            sink.onRun(dst.at(i, j0), bj, AccessType::Write);
+        for (std::uint64_t i0 = 0; i0 < g; i0 += s) {
+            const std::uint64_t bi = std::min(s, g - i0);
+            for (std::uint64_t j0 = 0; j0 < g; j0 += s) {
+                const std::uint64_t bj = std::min(s, g - j0);
+                const std::uint64_t ri = i0 == 0 ? 0 : i0 - 1;
+                const std::uint64_t rj = j0 == 0 ? 0 : j0 - 1;
+                const std::uint64_t re = std::min(g, i0 + bi + 1);
+                const std::uint64_t ce = std::min(g, j0 + bj + 1);
+                for (std::uint64_t r = ri; r < re; ++r)
+                    sink.onRun(src.at(r, rj), ce - rj,
+                               AccessType::Read);
+                for (std::uint64_t i = i0; i < i0 + bi; ++i)
+                    sink.onRun(dst.at(i, j0), bj, AccessType::Write);
+            }
+        }
     }
 }
 

@@ -257,72 +257,51 @@ void
 Stencil9TimeTiledKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                                    TraceSink &sink) const
 {
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-Stencil9TimeTiledKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    const std::uint64_t g = n;
-    const std::uint64_t tau_full = temporalDepth(m);
-    const std::uint64_t s = std::min<std::uint64_t>(
-        std::max<std::uint64_t>(1, extendedEdge(m) - 2 * tau_full), g);
-    const std::uint64_t side = (g + s - 1) / s;
-    const std::uint64_t chunks =
-        (iterations_ + tau_full - 1) / tau_full;
-    return TilePlan{chunks * side * side};
-}
-
-void
-Stencil9TimeTiledKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                                   std::uint64_t lo, std::uint64_t hi,
-                                   TraceSink &sink) const
-{
     const std::uint64_t g = n;
     const std::int64_t gi = static_cast<std::int64_t>(g);
     const std::uint64_t tau_full = temporalDepth(m);
     const std::uint64_t s = std::min<std::uint64_t>(
         std::max<std::uint64_t>(1, extendedEdge(m) - 2 * tau_full), g);
-    const std::uint64_t side = (g + s - 1) / s;
     // Two logical arrays ping-ponged across CHUNKS (each chunk
     // advances tau sweeps), like the real schedule's src/dst.
     const MatrixLayout a(0, g, g);
     const MatrixLayout b(a.end(), g, g);
 
-    // Tile t linearizes the (chunk, i0, j0) loop nest. Chunk c starts
-    // at done = c * tau_full sweeps, so the last chunk's tau may be
-    // smaller; flip follows the chunk parity.
-    for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint64_t chunk = t / (side * side);
-        const std::uint64_t i0 = (t / side % side) * s;
-        const std::uint64_t j0 = (t % side) * s;
-        const std::uint64_t done = chunk * tau_full;
+    std::uint64_t done = 0;
+    bool flip = false;
+    while (done < iterations_) {
         const std::uint64_t tau =
             std::min(tau_full, iterations_ - done);
         const std::int64_t h = static_cast<std::int64_t>(tau);
-        const bool flip = chunk % 2 != 0;
         const MatrixLayout &src = flip ? b : a;
         const MatrixLayout &dst = flip ? a : b;
 
-        const std::int64_t ci0 = static_cast<std::int64_t>(i0);
-        const std::int64_t ci1 = std::min<std::int64_t>(
-            ci0 + static_cast<std::int64_t>(s), gi);
-        const std::int64_t cj0 = static_cast<std::int64_t>(j0);
-        const std::int64_t cj1 = std::min<std::int64_t>(
-            cj0 + static_cast<std::int64_t>(s), gi);
-        const Box2 in_grid =
-            clipToGrid(Box2{ci0 - h, ci1 + h, cj0 - h, cj1 + h}, gi);
-        for (std::int64_t r = in_grid.ilo; r < in_grid.ihi; ++r)
-            sink.onRun(
-                src.at(static_cast<std::uint64_t>(r),
-                       static_cast<std::uint64_t>(in_grid.jlo)),
-                static_cast<std::uint64_t>(in_grid.cols()),
-                AccessType::Read);
-        for (std::int64_t i = ci0; i < ci1; ++i)
-            sink.onRun(dst.at(static_cast<std::uint64_t>(i),
-                              static_cast<std::uint64_t>(cj0)),
-                       static_cast<std::uint64_t>(cj1 - cj0),
-                       AccessType::Write);
+        for (std::uint64_t i0 = 0; i0 < g; i0 += s) {
+            const std::int64_t ci0 = static_cast<std::int64_t>(i0);
+            const std::int64_t ci1 = std::min<std::int64_t>(
+                ci0 + static_cast<std::int64_t>(s), gi);
+            for (std::uint64_t j0 = 0; j0 < g; j0 += s) {
+                const std::int64_t cj0 = static_cast<std::int64_t>(j0);
+                const std::int64_t cj1 = std::min<std::int64_t>(
+                    cj0 + static_cast<std::int64_t>(s), gi);
+                const Box2 in_grid = clipToGrid(
+                    Box2{ci0 - h, ci1 + h, cj0 - h, cj1 + h}, gi);
+                for (std::int64_t r = in_grid.ilo; r < in_grid.ihi;
+                     ++r)
+                    sink.onRun(
+                        src.at(static_cast<std::uint64_t>(r),
+                               static_cast<std::uint64_t>(in_grid.jlo)),
+                        static_cast<std::uint64_t>(in_grid.cols()),
+                        AccessType::Read);
+                for (std::int64_t i = ci0; i < ci1; ++i)
+                    sink.onRun(dst.at(static_cast<std::uint64_t>(i),
+                                      static_cast<std::uint64_t>(cj0)),
+                               static_cast<std::uint64_t>(cj1 - cj0),
+                               AccessType::Write);
+            }
+        }
+        flip = !flip;
+        done += tau;
     }
 }
 

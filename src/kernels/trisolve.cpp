@@ -162,41 +162,23 @@ void
 TrisolveKernel::emitTrace(std::uint64_t n, std::uint64_t m,
                           TraceSink &sink) const
 {
-    emitTiles(n, m, 0, tilePlan(n, m).tiles, sink);
-}
-
-TilePlan
-TrisolveKernel::tilePlan(std::uint64_t n, std::uint64_t m) const
-{
-    const std::uint64_t bs = std::min(blockSize(m), n);
-    return TilePlan{bs == 0 ? 0 : (n + bs - 1) / bs};
-}
-
-void
-TrisolveKernel::emitTiles(std::uint64_t n, std::uint64_t m,
-                          std::uint64_t lo, std::uint64_t hi,
-                          TraceSink &sink) const
-{
     const std::uint64_t bs = std::min(blockSize(m), n);
     const MatrixLayout ll(0, n, n);
     const ArrayLayout lb(ll.end(), n);
     const ArrayLayout lx(lb.end(), n);
 
-    // Tile t is the t-th x block: i0 = t * bs, exactly the outer loop
-    // of the historical emitTrace().
-    for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint64_t i0 = t * bs;
+    for (std::uint64_t i0 = 0; i0 < n; i0 += bs) {
         const std::uint64_t bi = std::min(bs, n - i0);
-        sink.onRange(lb.at(i0), bi, AccessType::Read);
+        sink.onRun(lb.at(i0), bi, AccessType::Read);
         for (std::uint64_t j0 = 0; j0 < i0; j0 += bs) {
             const std::uint64_t bj = std::min(bs, i0 - j0);
-            sink.onRange(lx.at(j0), bj, AccessType::Read);
+            sink.onRun(lx.at(j0), bj, AccessType::Read);
             for (std::uint64_t i = 0; i < bi; ++i)
-                sink.onRange(ll.at(i0 + i, j0), bj, AccessType::Read);
+                sink.onRun(ll.at(i0 + i, j0), bj, AccessType::Read);
         }
         for (std::uint64_t i = 0; i < bi; ++i)
-            sink.onRange(ll.at(i0 + i, i0), i + 1, AccessType::Read);
-        sink.onRange(lx.at(i0), bi, AccessType::Write);
+            sink.onRun(ll.at(i0 + i, i0), i + 1, AccessType::Read);
+        sink.onRun(lx.at(i0), bi, AccessType::Write);
     }
 }
 

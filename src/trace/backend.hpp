@@ -1,202 +1,33 @@
 /**
  * @file
- * Pluggable trace-emission backends.
- *
- * Kernel::emitTrace renders a schedule's access stream serially —
- * correct, simple, and since PR 6 the bottleneck of every cold sweep
- * (emission costs ~18x the single-pass analysis it feeds). This seam
- * makes the renderer a choice instead of a hard call, modeled on
- * idock's mc_kernel virtual update/launch interface that hides CPU
- * and GPU implementations behind one abstract class:
- *
- *  * `scalar` — the reference backend: one emitTrace() call on the
- *    calling thread. Unchanged semantics, and the bit-exactness
- *    oracle every other backend is tested against.
- *
- *  * `threaded` — a parallel tiled emitter. Kernels that describe
- *    their schedule as an ordered sequence of independently
- *    emittable tiles (Kernel::tilePlan / Kernel::emitTiles) have
- *    chunks of that tile sequence rendered concurrently by worker
- *    threads into per-chunk op buffers, while the calling thread
- *    drains finished chunks into the job's single TraceSink in
- *    schedule order. The delivered sink-call sequence — every
- *    onAccess, every onRun, in order — is byte-identical to the
- *    scalar backend at any thread count, so every curve, CurveStore
- *    key and bench report is too. Kernels without a tile plan fall
- *    back to the scalar path inside the same emit() call.
- *
- * Backends self-register in a name-keyed registry (the kernel
- * registry's pattern), so a future GPU-style emitter is a new
- * translation unit, not a core edit. The process-wide *active*
- * backend — what the experiment engine emits through — is selected
- * with setActiveTraceBackend() (the bench driver's --backend flag)
- * or the KB_TRACE_BACKEND environment variable, and defaults to
- * scalar.
+ * Emission shim kept only for the repository benchmark under
+ * perfbench/, whose frozen sources still emit through
+ * activeTraceBackend().emit(...) and report activeTraceBackendName().
+ * Both forward to the one emission path, Kernel::emitTrace. Nothing
+ * in src/, bench/, tests/ or examples/ includes this header; it goes
+ * when the benchmark is next revised.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "kernels/kernel.hpp"
-#include "trace/sink.hpp"
 
 namespace kb {
 
-/** Abstract renderer of kernel traces into a sink. */
-class TraceBackend
+struct ScalarTraceEmitter
 {
-  public:
-    virtual ~TraceBackend() = default;
-
-    /** Registry name, e.g. "scalar". */
-    virtual std::string name() const = 0;
-
-    /** One-line description for --list-backends. */
-    virtual std::string description() const = 0;
-
-    /**
-     * Deliver @p kernel's (n, m) trace into @p sink. The delivered
-     * call sequence must be bit-identical to what
-     * kernel.emitTrace(n, m, sink) performs — the scalar backend IS
-     * that call, every other backend is tested against it
-     * (tests/trace/backend_diff_test.cpp).
-     */
-    virtual void emit(const Kernel &kernel, std::uint64_t n,
-                      std::uint64_t m, TraceSink &sink) const = 0;
-};
-
-/** The reference backend: one synchronous emitTrace() call. */
-class ScalarTraceBackend : public TraceBackend
-{
-  public:
-    std::string name() const override { return "scalar"; }
-    std::string description() const override;
     void emit(const Kernel &kernel, std::uint64_t n, std::uint64_t m,
-              TraceSink &sink) const override;
+              TraceSink &sink) const
+    {
+        kernel.emitTrace(n, m, sink);
+    }
 };
 
-/**
- * The parallel tiled emitter: renders chunks of the kernel's tile
- * plan concurrently and drains them into the sink in schedule order.
- * Kernels without a tile plan (tilePlan().tiles == 0) are emitted
- * through the scalar path instead — emit() is always safe to call.
- *
- * Memory bound: at most (threads + 2) chunk buffers are resident at
- * once (a producer may not run ahead of the consumer by more than
- * that window), so peak memory is a small multiple of one chunk's
- * rendered ops, independent of trace length.
- */
-class ThreadedTraceBackend : public TraceBackend
-{
-  public:
-    /** @param threads worker count; 0 = hardware concurrency. */
-    explicit ThreadedTraceBackend(unsigned threads = 0);
+inline ScalarTraceEmitter activeTraceBackend() { return {}; }
 
-    std::string name() const override { return "threaded"; }
-    std::string description() const override;
-    void emit(const Kernel &kernel, std::uint64_t n, std::uint64_t m,
-              TraceSink &sink) const override;
-
-    /** Worker threads this backend renders with. */
-    unsigned threads() const { return threads_; }
-
-  private:
-    unsigned threads_;
-};
-
-/**
- * Process-wide name-keyed backend factory. Backends register
- * themselves at static-initialization time via
- * TraceBackendRegistrar; core code (engine, bench driver) looks them
- * up by name and never names the concrete types.
- */
-class TraceBackendRegistry
-{
-  public:
-    /** @param threads parallelism hint; serial backends ignore it. */
-    using Factory =
-        std::function<std::unique_ptr<TraceBackend>(unsigned threads)>;
-
-    /** The singleton (created on first use, safe during static init). */
-    static TraceBackendRegistry &instance();
-
-    /**
-     * Register a backend under a unique @p name.
-     *
-     * @param name        registry key; must equal the instances' name()
-     * @param factory     creates an instance for a given thread count
-     * @param order       presentation order (built-ins use 0..9;
-     *                    plug-ins should use >= 100)
-     * @param description one-liner shown by --list-backends
-     */
-    void add(const std::string &name, Factory factory, int order,
-             const std::string &description);
-
-    /** True iff @p name is registered. */
-    bool contains(const std::string &name) const;
-
-    /**
-     * New instance of @p name; fatal on unknown names, naming the
-     * valid set.
-     */
-    std::unique_ptr<TraceBackend> make(const std::string &name,
-                                       unsigned threads = 0) const;
-
-    /** All registered names, sorted by (order, name). */
-    std::vector<std::string> names() const;
-
-    /** The one-line description registered for @p name. */
-    std::string describe(const std::string &name) const;
-
-    /** Number of registered backends. */
-    std::size_t size() const;
-
-  private:
-    TraceBackendRegistry() = default;
-
-    struct Entry;
-    std::vector<Entry> &entries() const;
-};
-
-/**
- * Registers a backend from a static initializer:
- *
- *   namespace { const TraceBackendRegistrar reg{
- *       "gpu", [](unsigned) { return std::make_unique<GpuBackend>(); },
- *       100, "device-resident tile emitter"}; }
- */
-struct TraceBackendRegistrar
-{
-    TraceBackendRegistrar(const std::string &name,
-                          TraceBackendRegistry::Factory factory,
-                          int order, const std::string &description);
-};
-
-/**
- * The backend the engine's trace emissions go through. Defaults to
- * the KB_TRACE_BACKEND environment variable (same name[:threads]
- * grammar as setActiveTraceBackend) or "scalar" when unset. Safe to
- * call concurrently from engine workers.
- */
-const TraceBackend &activeTraceBackend();
-
-/**
- * Select the process-wide backend by @p spec — "name" or
- * "name:threads" (e.g. "threaded:8"). A spec without an explicit
- * thread count uses @p default_threads (0 = hardware concurrency).
- * Fatal on unknown names, naming the valid set. Not thread-safe
- * against concurrent emissions: select before running jobs, the way
- * the bench driver does at startup.
- */
-void setActiveTraceBackend(const std::string &spec,
-                           unsigned default_threads = 0);
-
-/** Name of the currently active backend. */
-std::string activeTraceBackendName();
+inline std::string activeTraceBackendName() { return "scalar"; }
 
 } // namespace kb

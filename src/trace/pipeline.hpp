@@ -1,6 +1,6 @@
 /**
  * @file
- * Fused analysis pipeline: one emission, every consumer.
+ * Chunked analysis pipeline: one emission, every consumer.
  *
  * The engine's cold fast path computes several independent results
  * from the same trace — the fully-associative Mattson curve, the
@@ -14,11 +14,6 @@
  * keeps each consumer's working state hot across a whole chunk while
  * the chunk itself stays L2-resident, and a trace op crosses memory
  * bandwidth once instead of once per consumer pass.
- *
- * TraceOp / OpBufferSink / drainOps are the same chunk machinery the
- * threaded trace backend uses for its ordered tile handoff
- * (trace/backend.cpp); they live here so both layers share one
- * definition of "a recorded sink call".
  */
 
 #pragma once
@@ -43,29 +38,6 @@ struct TraceOp
     std::uint64_t words = 0;
     AccessType type = AccessType::Read;
     bool is_run = false;
-};
-
-/** Records sink calls for ordered replay (tile chunks, test traces). */
-class OpBufferSink : public TraceSink
-{
-  public:
-    void
-    onAccess(const Access &access) override
-    {
-        ops_.push_back(TraceOp{access.addr, 1, access.type, false});
-    }
-
-    void
-    onRun(std::uint64_t base, std::uint64_t words,
-          AccessType type) override
-    {
-        ops_.push_back(TraceOp{base, words, type, true});
-    }
-
-    std::vector<TraceOp> take() { return std::move(ops_); }
-
-  private:
-    std::vector<TraceOp> ops_;
 };
 
 /** Replay a rendered chunk into the real sink, call for call. */

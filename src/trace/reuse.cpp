@@ -404,39 +404,6 @@ MultiSetReuseAnalyzer::MultiSetReuseAnalyzer(
     }
 }
 
-MultiSetReuseAnalyzer::MultiSetReuseAnalyzer(
-    const std::vector<std::uint64_t> &set_counts,
-    std::uint64_t max_ways, AnalyzerPath path, bool fuse_fully_assoc)
-    : MultiSetReuseAnalyzer(set_counts, max_ways, path)
-{
-    if (fuse_fully_assoc)
-        fully_ = std::make_unique<ReuseDistanceAnalyzer>(path);
-}
-
-// Out of line because the header only forward-declares the fused
-// pass's analyzer type (its unique_ptr needs the full definition).
-MultiSetReuseAnalyzer::~MultiSetReuseAnalyzer() = default;
-MultiSetReuseAnalyzer::MultiSetReuseAnalyzer(
-    MultiSetReuseAnalyzer &&) noexcept = default;
-MultiSetReuseAnalyzer &
-MultiSetReuseAnalyzer::operator=(MultiSetReuseAnalyzer &&) noexcept =
-    default;
-
-const ReuseDistanceAnalyzer &
-MultiSetReuseAnalyzer::fullyAssoc() const
-{
-    KB_REQUIRE(fully_ != nullptr,
-               "analyzer was not constructed with a fused fully "
-               "associative pass");
-    return *fully_;
-}
-
-MissCurve
-MultiSetReuseAnalyzer::fullyAssocCurve() const
-{
-    return fullyAssoc().missCurve();
-}
-
 // The pre-SIMD row scan, kept verbatim as the bit-exactness oracle
 // (KB_ANALYZER=scalar); only the row base math moved to the caller.
 void
@@ -583,10 +550,6 @@ MultiSetReuseAnalyzer::step(std::uint64_t addr, bool write)
 void
 MultiSetReuseAnalyzer::onAccess(const Access &access)
 {
-    // The fused fully associative pass sees every word exactly once,
-    // right here, so its clock and clock_ advance in lockstep.
-    if (fully_)
-        fully_->onAccess(access);
     if (path_ == AnalyzerPath::Simd) {
         simdRun(access.addr, 1, access.isWrite());
         return;
@@ -600,8 +563,6 @@ MultiSetReuseAnalyzer::onRun(std::uint64_t base, std::uint64_t words,
 {
     if (words == 0)
         return;
-    if (fully_)
-        fully_->onRun(base, words, type);
     const bool write = type == AccessType::Write;
     if (path_ == AnalyzerPath::Simd) {
         simdRun(base, words, write);

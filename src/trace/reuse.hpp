@@ -46,7 +46,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -465,8 +464,6 @@ using MultiSetRunFn = void (*)(const MultiSetPlane *planes,
 
 } // namespace detail
 
-class ReuseDistanceAnalyzer;
-
 /**
  * One shared Mattson pass serving several set counts at once.
  *
@@ -513,33 +510,19 @@ class MultiSetReuseAnalyzer : public TraceSink
      *                   distances >= max_ways are lumped
      * @param path       row-scan implementation; defaults to the
      *                   process-wide activeAnalyzerPath()
-     * @param fuse_fully_assoc also drive a fully associative Mattson
-     *                   pass (a ReuseDistanceAnalyzer on @p path)
-     *                   inside the same walk, under the shared clock —
-     *                   every word advances both stamp domains in
-     *                   lockstep, so one consumer serves the
-     *                   fully-assoc curve AND every set-assoc plane
-     *                   where the engine previously walked the trace
-     *                   once per analyzer. Query via
-     *                   fullyAssocCurve().
      */
     MultiSetReuseAnalyzer(const std::vector<std::uint64_t> &set_counts,
                           std::uint64_t max_ways);
     MultiSetReuseAnalyzer(const std::vector<std::uint64_t> &set_counts,
                           std::uint64_t max_ways, AnalyzerPath path);
-    MultiSetReuseAnalyzer(const std::vector<std::uint64_t> &set_counts,
-                          std::uint64_t max_ways, AnalyzerPath path,
-                          bool fuse_fully_assoc);
-    ~MultiSetReuseAnalyzer() override;
 
     // Movable, not copyable: plane_ctx_ points into the slot vectors'
     // buffers, which transfer on move but not on copy.
     MultiSetReuseAnalyzer(const MultiSetReuseAnalyzer &) = delete;
     MultiSetReuseAnalyzer &
     operator=(const MultiSetReuseAnalyzer &) = delete;
-    MultiSetReuseAnalyzer(MultiSetReuseAnalyzer &&) noexcept;
-    MultiSetReuseAnalyzer &
-    operator=(MultiSetReuseAnalyzer &&) noexcept;
+    MultiSetReuseAnalyzer(MultiSetReuseAnalyzer &&) = default;
+    MultiSetReuseAnalyzer &operator=(MultiSetReuseAnalyzer &&) = default;
 
     void onAccess(const Access &access) override;
     void onRun(std::uint64_t base, std::uint64_t words,
@@ -561,19 +544,6 @@ class MultiSetReuseAnalyzer : public TraceSink
     MissCurve waysCurve(std::size_t plane) const;
 
     AnalyzerPath path() const { return path_; }
-
-    /** Whether a fused fully associative pass rides this walk. */
-    bool hasFullyAssoc() const { return fully_ != nullptr; }
-
-    /** The fused pass's analyzer (hasFullyAssoc() must hold). */
-    const ReuseDistanceAnalyzer &fullyAssoc() const;
-
-    /**
-     * The fused pass's capacity -> misses/writebacks curve — exactly
-     * the MissCurve a standalone ReuseDistanceAnalyzer would build
-     * from the same stream (hasFullyAssoc() must hold).
-     */
-    MissCurve fullyAssocCurve() const;
 
   private:
     static constexpr std::uint64_t kColdWindow =
@@ -632,52 +602,8 @@ class MultiSetReuseAnalyzer : public TraceSink
     std::vector<std::uint32_t> rows_buf_;
     std::uint32_t *rows_base_ = nullptr;
     bool compressed_ = false;
-    /// Lever (a) of the fused pipeline: the fully associative pass
-    /// fused into this walk as a shared-clock plane (both stamp
-    /// domains advance one per word, in lockstep). Null unless the
-    /// fusing constructor was used.
-    std::unique_ptr<ReuseDistanceAnalyzer> fully_;
     std::uint64_t clock_ = 0;
     std::uint64_t accesses_ = 0;
-};
-
-/**
- * Per-set Mattson pass for ONE set count: a single-plane
- * MultiSetReuseAnalyzer with the historical one-set-count interface
- * (kept for the direct/reference paths and the per-plane semantics
- * documented there).
- */
-class SetAssocReuseAnalyzer : public TraceSink
-{
-  public:
-    /**
-     * @param sets     set count (addresses map by modulo, matching
-     *                 SetAssocCache)
-     * @param max_ways largest associativity the curve resolves
-     *                 exactly; distances >= max_ways are lumped
-     */
-    SetAssocReuseAnalyzer(std::uint64_t sets, std::uint64_t max_ways)
-        : core_({sets}, max_ways)
-    {
-    }
-
-    void onAccess(const Access &access) override { core_.onAccess(access); }
-    void
-    onRun(std::uint64_t base, std::uint64_t words,
-          AccessType type) override
-    {
-        core_.onRun(base, words, type);
-    }
-
-    std::uint64_t sets() const { return core_.setsAt(0); }
-    std::uint64_t maxWays() const { return core_.maxWays(); }
-    std::uint64_t accesses() const { return core_.accesses(); }
-
-    /** See MultiSetReuseAnalyzer::waysCurve(). */
-    MissCurve waysCurve() const { return core_.waysCurve(0); }
-
-  private:
-    MultiSetReuseAnalyzer core_;
 };
 
 /**

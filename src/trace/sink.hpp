@@ -2,7 +2,8 @@
  * @file
  * Trace sinks: destinations for the access streams emitted by kernel
  * schedules. A kernel writes its trace once; sinks decide whether to
- * count it, record it, replay it into a cache model, or fan it out.
+ * count it, record it, or replay it into a cache model (fan-out to
+ * several consumers is trace/pipeline.hpp's AnalysisPipeline).
  *
  * Sinks receive the stream through two entry points: onAccess() for
  * single accesses and onRun() for contiguous same-type runs. The run
@@ -44,13 +45,6 @@ class TraceSink
     {
         for (std::uint64_t i = 0; i < words; ++i)
             onAccess(Access{base + i, type});
-    }
-
-    /** Historical alias for onRun() (kept for emitters and tests). */
-    void
-    onRange(std::uint64_t base, std::uint64_t words, AccessType type)
-    {
-        onRun(base, words, type);
     }
 };
 
@@ -156,23 +150,6 @@ class CallbackSink : public TraceSink
   private:
     Callback cb_;
     RunCallback run_cb_;
-};
-
-/** Duplicates the stream into several downstream sinks. */
-class TeeSink : public TraceSink
-{
-  public:
-    explicit TeeSink(std::vector<TraceSink *> sinks);
-
-    void onAccess(const Access &access) override;
-
-    /** Runs are forwarded as runs, so each branch keeps its own
-     *  fast path (a counting branch stays O(1) per run). */
-    void onRun(std::uint64_t base, std::uint64_t words,
-               AccessType type) override;
-
-  private:
-    std::vector<TraceSink *> sinks_;
 };
 
 /** Discards everything (placeholder when only explicit I/O counts

@@ -14,12 +14,13 @@
  * mixes. The streaming stress also asserts the memory bound: peak
  * resident bytes stay put when the trace gets 8x longer.
  *
- * The fused-pipeline suite pins the chunked AnalysisPipeline and the
- * fused fully-assoc plane down the same way: one emission through the
- * chunk ring into a fused consumer must reproduce, bit for bit, the
- * separate per-analyzer passes it replaced — over every registered
- * kernel, the adversarial streams, and chunk sizes 1/7/4096 so ops
- * land on every possible chunk-boundary phase. A fully-assoc
+ * The pipeline suite pins the chunked AnalysisPipeline down the same
+ * way: one emission through the chunk ring into a
+ * ReuseDistanceAnalyzer and a MultiSetReuseAnalyzer attached side by
+ * side must reproduce, bit for bit, the same two analyzers fed
+ * directly — over every registered kernel, the adversarial streams,
+ * and chunk sizes 1/7/4096 so ops land on every possible
+ * chunk-boundary phase. A fully-assoc
  * scalar-vs-SIMD differential covers the run-block index and the
  * block-scan rankInc against the original per-word loops.
  */
@@ -395,12 +396,12 @@ expectMultiSetMatches(const std::vector<Access> &trace,
 
     for (std::size_t p = 0; p < set_counts.size(); ++p) {
         SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
-        SetAssocReuseAnalyzer single(set_counts[p], max_ways);
+        MultiSetReuseAnalyzer single({set_counts[p]}, max_ways);
         for (const auto &a : trace)
             single.onAccess(a);
 
         const auto multi_curve = multi.waysCurve(p);
-        const auto single_curve = single.waysCurve();
+        const auto single_curve = single.waysCurve(0);
         for (std::uint64_t w = 1; w <= max_ways + 3; ++w) {
             EXPECT_EQ(multi_curve.missesAt(w), single_curve.missesAt(w))
                 << "ways " << w;
@@ -670,20 +671,49 @@ expectSameReuse(const ReuseDistanceAnalyzer &a,
     EXPECT_EQ(a.writeHistogram(), b.writeHistogram());
 }
 
+/** Both Mattson curves of two analyzer pairs agree bit for bit. */
+void
+expectSameCurves(const ReuseDistanceAnalyzer &piped_fully,
+                 const MultiSetReuseAnalyzer &piped_multi,
+                 const ReuseDistanceAnalyzer &fully,
+                 const MultiSetReuseAnalyzer &multi,
+                 std::uint64_t max_ways)
+{
+    expectSameReuse(piped_fully, fully);
+    const auto piped_lru = piped_fully.missCurve();
+    const auto direct_lru = fully.missCurve();
+    for (const std::uint64_t m : {1u, 2u, 7u, 64u, 1000u}) {
+        EXPECT_EQ(piped_lru.missesAt(m), direct_lru.missesAt(m))
+            << "capacity " << m;
+        EXPECT_EQ(piped_lru.writebacksAt(m), direct_lru.writebacksAt(m))
+            << "capacity " << m;
+    }
+    ASSERT_EQ(piped_multi.planeCount(), multi.planeCount());
+    for (std::size_t p = 0; p < multi.planeCount(); ++p) {
+        SCOPED_TRACE("sets " + std::to_string(multi.setsAt(p)));
+        const auto f = piped_multi.waysCurve(p);
+        const auto s = multi.waysCurve(p);
+        for (std::uint64_t w = 1; w <= max_ways + 3; ++w) {
+            EXPECT_EQ(f.missesAt(w), s.missesAt(w)) << "ways " << w;
+            EXPECT_EQ(f.writebacksAt(w), s.writebacksAt(w))
+                << "ways " << w;
+        }
+    }
+}
+
 /**
- * The fused-pipeline contract: one emission rendered into chunk
- * buffers and fanned out to a fused consumer (multi-set planes + the
- * fully-assoc shared-clock plane) must be bit-identical to the
- * separate passes it replaced — a standalone ReuseDistanceAnalyzer
- * and a standalone MultiSetReuseAnalyzer each fed directly. Single
- * words go through onAccess and longer runs through onRun so both
- * pipeline op kinds cross every chunk-boundary phase.
+ * The pipeline contract the engine's fast path relies on: a
+ * MultiSetReuseAnalyzer and a ReuseDistanceAnalyzer attached as two
+ * consumers of one chunked emission must each build exactly what the
+ * same analyzer builds when fed directly. Single words go through
+ * onAccess and longer runs through onRun so both pipeline op kinds
+ * cross every chunk-boundary phase.
  */
 void
-expectFusedMatchesSeparate(const std::vector<Run> &runs,
-                           const std::vector<std::uint64_t> &set_counts,
-                           std::uint64_t max_ways, AnalyzerPath path,
-                           std::uint64_t chunk_ops)
+expectPipelineMatchesDirect(const std::vector<Run> &runs,
+                            const std::vector<std::uint64_t> &set_counts,
+                            std::uint64_t max_ways, AnalyzerPath path,
+                            std::uint64_t chunk_ops)
 {
     ReuseDistanceAnalyzer fully(path);
     MultiSetReuseAnalyzer multi(set_counts, max_ways, path);
@@ -694,9 +724,11 @@ expectFusedMatchesSeparate(const std::vector<Run> &runs,
         total_words += r.words;
     }
 
-    MultiSetReuseAnalyzer fused(set_counts, max_ways, path, true);
+    ReuseDistanceAnalyzer piped_fully(path);
+    MultiSetReuseAnalyzer piped_multi(set_counts, max_ways, path);
     AnalysisPipeline pipeline(chunk_ops);
-    pipeline.attach(fused);
+    pipeline.attach(piped_multi);
+    pipeline.attach(piped_fully);
     for (const auto &r : runs) {
         if (r.words == 1)
             pipeline.onAccess(Access{r.base, r.type});
@@ -705,30 +737,10 @@ expectFusedMatchesSeparate(const std::vector<Run> &runs,
     }
     pipeline.flush();
     ASSERT_EQ(pipeline.wordsDelivered(), total_words);
-    ASSERT_TRUE(fused.hasFullyAssoc());
-
-    expectSameReuse(fused.fullyAssoc(), fully);
-    const auto fused_lru = fused.fullyAssocCurve();
-    const auto direct_lru = fully.missCurve();
-    for (const std::uint64_t m : {1u, 2u, 7u, 64u, 1000u}) {
-        EXPECT_EQ(fused_lru.missesAt(m), direct_lru.missesAt(m))
-            << "capacity " << m;
-        EXPECT_EQ(fused_lru.writebacksAt(m), direct_lru.writebacksAt(m))
-            << "capacity " << m;
-    }
-    for (std::size_t p = 0; p < set_counts.size(); ++p) {
-        SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
-        const auto f = fused.waysCurve(p);
-        const auto s = multi.waysCurve(p);
-        for (std::uint64_t w = 1; w <= max_ways + 3; ++w) {
-            EXPECT_EQ(f.missesAt(w), s.missesAt(w)) << "ways " << w;
-            EXPECT_EQ(f.writebacksAt(w), s.writebacksAt(w))
-                << "ways " << w;
-        }
-    }
+    expectSameCurves(piped_fully, piped_multi, fully, multi, max_ways);
 }
 
-TEST(FusedPipelineDiff, MatchesSeparatePassesOnAllKernels)
+TEST(PipelineConsumersDiff, MatchesDirectFeedingOnAllKernels)
 {
     // Real emissions, production shape: the kernel emits once into
     // the pipeline exactly as the engine fast path drives it, and the
@@ -751,32 +763,22 @@ TEST(FusedPipelineDiff, MatchesSeparatePassesOnAllKernels)
             kernel->emitTrace(n, m_lo, fully);
             kernel->emitTrace(n, m_lo, multi);
 
-            MultiSetReuseAnalyzer fused(set_counts, 8, path, true);
+            ReuseDistanceAnalyzer piped_fully(path);
+            MultiSetReuseAnalyzer piped_multi(set_counts, 8, path);
             AnalysisPipeline pipeline;
-            pipeline.attach(fused);
+            pipeline.attach(piped_multi);
+            pipeline.attach(piped_fully);
             kernel->emitTrace(n, m_lo, pipeline);
             pipeline.flush();
 
             ASSERT_EQ(pipeline.wordsDelivered(), fully.accesses());
             EXPECT_GT(pipeline.chunksDelivered(), 0u);
-            expectSameReuse(fused.fullyAssoc(), fully);
-            for (std::size_t p = 0; p < set_counts.size(); ++p) {
-                SCOPED_TRACE("sets " +
-                             std::to_string(set_counts[p]));
-                const auto f = fused.waysCurve(p);
-                const auto s = multi.waysCurve(p);
-                for (std::uint64_t w = 1; w <= 11; ++w) {
-                    EXPECT_EQ(f.missesAt(w), s.missesAt(w))
-                        << "ways " << w;
-                    EXPECT_EQ(f.writebacksAt(w), s.writebacksAt(w))
-                        << "ways " << w;
-                }
-            }
+            expectSameCurves(piped_fully, piped_multi, fully, multi, 8);
         }
     }
 }
 
-TEST(FusedPipelineDiff, MatchesSeparatePassesOnAdversarialAndRandomRuns)
+TEST(PipelineConsumersDiff, MatchesDirectFeedingOnAdversarialAndRandomRuns)
 {
     auto streams = adversarialStreams();
     for (std::uint64_t seed = 51; seed <= 56; ++seed)
@@ -788,19 +790,19 @@ TEST(FusedPipelineDiff, MatchesSeparatePassesOnAdversarialAndRandomRuns)
              {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
             SCOPED_TRACE(std::string("path ") +
                          analyzerPathName(path));
-            expectFusedMatchesSeparate(
+            expectPipelineMatchesDirect(
                 runs, {1, 2, 7, 16}, 8, path,
                 AnalysisPipeline::kDefaultChunkOps);
         }
     }
 }
 
-TEST(FusedPipelineDiff, ChunkBoundaryStress)
+TEST(PipelineConsumersDiff, ChunkBoundaryStress)
 {
     // Chunk size 1 delivers after every op (maximum boundary
     // crossings), 7 lands boundaries on every op-index phase of the
     // run/word mixes, 4096 is the production default. All must be
-    // invisible: the consumer sees the identical op sequence.
+    // invisible: each consumer sees the identical op sequence.
     auto streams = adversarialStreams();
     streams.push_back({"random_61", randomStream(61)});
     for (const auto &[label, runs] : streams) {
@@ -811,8 +813,8 @@ TEST(FusedPipelineDiff, ChunkBoundaryStress)
                  {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
                 SCOPED_TRACE(std::string("path ") +
                              analyzerPathName(path));
-                expectFusedMatchesSeparate(runs, {1, 4, 16}, 4, path,
-                                           chunk_ops);
+                expectPipelineMatchesDirect(runs, {1, 4, 16}, 4, path,
+                                            chunk_ops);
             }
         }
     }

@@ -51,8 +51,8 @@ class ToyStreamKernel : public Kernel
     emitTrace(std::uint64_t n, std::uint64_t,
               TraceSink &sink) const override
     {
-        sink.onRange(0, n, AccessType::Read);
-        sink.onRange(n, n / 2, AccessType::Write);
+        sink.onRun(0, n, AccessType::Read);
+        sink.onRun(n, n / 2, AccessType::Write);
     }
     std::uint64_t minMemory(std::uint64_t) const override { return 2; }
     std::uint64_t

@@ -5,7 +5,7 @@
  * kernel, per capacity, for misses, writebacks (including the
  * end-of-trace flush) and ioWords — for fully associative LRU
  * (ReuseDistanceAnalyzer), set-associative LRU per set count
- * (SetAssocReuseAnalyzer), and Belady OPT at whole capacity sets
+ * (MultiSetReuseAnalyzer), and Belady OPT at whole capacity sets
  * (simulateOptCurve); the engine's fast-path jobs must return
  * exactly what the forced direct-replay jobs return; and a repeated
  * fast-path job must come out of the CurveStore without re-emitting
@@ -147,10 +147,10 @@ TEST(SetAssocFastPath, CurveMatchesDirectReplayForAllKernels)
              {std::uint64_t{1}, std::uint64_t{3},
               std::max<std::uint64_t>(schedule_m / 8, 2)}) {
             SCOPED_TRACE("sets " + std::to_string(sets));
-            SetAssocReuseAnalyzer analyzer(sets, 8);
+            MultiSetReuseAnalyzer analyzer({sets}, 8);
             for (const auto &a : trace)
                 analyzer.onAccess(a);
-            const auto curve = analyzer.waysCurve();
+            const auto curve = analyzer.waysCurve(0);
             EXPECT_EQ(analyzer.accesses(), trace.size());
 
             for (const std::uint64_t ways : {1, 2, 7, 8}) {
@@ -280,9 +280,9 @@ TEST_P(FastPathRandom, SetAssocRandomTracesMatchDirectReplay)
     for (const std::uint64_t sets :
          {std::uint64_t{1}, std::uint64_t{5}, std::uint64_t{32}}) {
         SCOPED_TRACE("sets " + std::to_string(sets));
-        SetAssocReuseAnalyzer analyzer(sets, 8);
+        MultiSetReuseAnalyzer analyzer({sets}, 8);
         const auto trace = randomTrace(seed, analyzer);
-        const auto curve = analyzer.waysCurve();
+        const auto curve = analyzer.waysCurve(0);
         ASSERT_EQ(analyzer.accesses(), trace.size());
         for (const std::uint64_t ways : {1, 3, 8}) {
             SCOPED_TRACE("ways " + std::to_string(ways));
@@ -527,14 +527,14 @@ TEST(EngineCurveStore, AlternatingGridsMergeInsteadOfThrashing)
  *  bucket instead of under-reporting misses. */
 TEST(SetAssocFastPath, QueriesBeyondMaxWaysSaturate)
 {
-    SetAssocReuseAnalyzer analyzer(2, 4);
+    MultiSetReuseAnalyzer analyzer({2}, 4);
     // One set sees 6 distinct words round-robin: at 4 ways every
     // revisit is lumped; a naive curve would report 0 misses at
     // W > 4 even though a 5-way set still misses.
     for (int round = 0; round < 3; ++round)
         for (std::uint64_t w = 0; w < 6; ++w)
             analyzer.onAccess(readOf(2 * w)); // all map to set 0
-    const auto curve = analyzer.waysCurve();
+    const auto curve = analyzer.waysCurve(0);
     EXPECT_GT(curve.missesAt(4), 0u);
     EXPECT_GE(curve.missesAt(5), curve.missesAt(4))
         << "beyond the exact range the curve must not drop below "

@@ -10,6 +10,7 @@
 #include "kernels/kernel.hpp"
 #include "kernels/matmul.hpp"
 #include "mem/lru_cache.hpp"
+#include "trace/pipeline.hpp"
 #include "trace/reuse.hpp"
 #include "trace/sink.hpp"
 
@@ -82,8 +83,11 @@ TEST(TraceConsistency, ReuseCurveAgreesWithLruOnKernelTrace)
     MatmulKernel k;
     ReuseDistanceAnalyzer rd;
     VectorSink rec;
-    TeeSink tee({&rd, &rec});
-    k.emitTrace(32, 24, tee);
+    AnalysisPipeline pipeline;
+    pipeline.attach(rd);
+    pipeline.attach(rec);
+    k.emitTrace(32, 24, pipeline);
+    pipeline.flush();
     const auto curve = rd.missCurve();
     for (std::uint64_t cap : {8u, 24u, 64u, 256u}) {
         LruCache lru(cap);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/lru_cache.hpp"
+#include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/sink.hpp"
 
@@ -57,21 +58,24 @@ TEST(ReplaySink, RunsEqualWordAtATime)
 
 TEST(Sinks, CountingSinkCountsRunsInBulk)
 {
-    // Satellite fix: onRange used to expand word-at-a-time even for
-    // pure counters; it now routes through the O(1) onRun override.
+    // Counting a run is O(1) through CountingSink's onRun override,
+    // not a word-at-a-time expansion.
     CountingSink sink;
-    sink.onRange(0, 1u << 20, AccessType::Read);
-    sink.onRange(1u << 20, 1u << 10, AccessType::Write);
+    sink.onRun(0, 1u << 20, AccessType::Read);
+    sink.onRun(1u << 20, 1u << 10, AccessType::Write);
     EXPECT_EQ(sink.reads(), 1u << 20);
     EXPECT_EQ(sink.writes(), 1u << 10);
 }
 
-TEST(Sinks, TeeForwardsRunsToBranches)
+TEST(Sinks, PipelineForwardsRunsToConsumers)
 {
     CountingSink counter;
     VectorSink recorder;
-    TeeSink tee({&counter, &recorder});
-    tee.onRun(10, 3, AccessType::Write);
+    AnalysisPipeline pipeline;
+    pipeline.attach(counter);
+    pipeline.attach(recorder);
+    pipeline.onRun(10, 3, AccessType::Write);
+    pipeline.flush();
     EXPECT_EQ(counter.writes(), 3u);
     ASSERT_EQ(recorder.trace().size(), 3u);
     EXPECT_EQ(recorder.trace()[0], writeOf(10));

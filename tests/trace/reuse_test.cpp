@@ -214,9 +214,9 @@ TEST(ReuseDistance, LargeColdRunsUseTheBulkPathCorrectly)
     // exercised through the bulk bitmap mark path.
     const std::uint64_t n = 100000;
     ReuseDistanceAnalyzer rd;
-    rd.onRange(0, n, AccessType::Read);
+    rd.onRun(0, n, AccessType::Read);
     EXPECT_EQ(rd.coldMisses(), n);
-    rd.onRange(0, n, AccessType::Read);
+    rd.onRun(0, n, AccessType::Read);
     const auto curve = rd.missCurve();
     EXPECT_EQ(curve.footprint(), n);
     EXPECT_EQ(curve.missesAt(n), n);      // second lap all hits
@@ -231,7 +231,7 @@ TEST(SetAssocReuse, LumpedCurveStoreRoundTripAgrees)
     // preserve exactly that semantics — encode/decode must not
     // reconstruct a curve that answers the lumped range differently.
     const std::uint64_t max_ways = 4;
-    SetAssocReuseAnalyzer analyzer(2, max_ways);
+    MultiSetReuseAnalyzer analyzer({2}, max_ways);
     Xoshiro256 rng(99);
     // Hammer a few sets with more distinct same-set words than
     // max_ways so the lumped bucket and every finite distance fill,
@@ -240,7 +240,7 @@ TEST(SetAssocReuse, LumpedCurveStoreRoundTripAgrees)
         const std::uint64_t addr = rng.below(24);
         analyzer.onAccess(i % 3 == 0 ? writeOf(addr) : readOf(addr));
     }
-    const auto curve = analyzer.waysCurve();
+    const auto curve = analyzer.waysCurve(0);
 
     ByteWriter writer;
     curve.encode(writer);

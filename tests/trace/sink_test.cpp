@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/pipeline.hpp"
 #include "trace/sink.hpp"
 
 namespace kb {
@@ -32,11 +33,11 @@ TEST(CountingSink, CountsReadsAndWrites)
     EXPECT_EQ(sink.total(), 3u);
 }
 
-TEST(CountingSink, OnRangeExpandsToWords)
+TEST(CountingSink, OnRunCountsEveryWord)
 {
     CountingSink sink;
-    sink.onRange(100, 5, AccessType::Read);
-    sink.onRange(200, 3, AccessType::Write);
+    sink.onRun(100, 5, AccessType::Read);
+    sink.onRun(200, 3, AccessType::Write);
     EXPECT_EQ(sink.reads(), 5u);
     EXPECT_EQ(sink.writes(), 3u);
 }
@@ -83,7 +84,7 @@ TEST(CallbackSink, RunCallbackReceivesWholeRuns)
             EXPECT_EQ(base, 50u);
             EXPECT_EQ(type, AccessType::Write);
         });
-    sink.onRange(50, 12, AccessType::Write);
+    sink.onRun(50, 12, AccessType::Write);
     EXPECT_EQ(run_calls, 1);
     EXPECT_EQ(run_words, 12u);
     EXPECT_EQ(word_calls, 0); // one dispatch for the run, not twelve
@@ -95,18 +96,21 @@ TEST(CallbackSink, WithoutRunCallbackRunsExpandPerWord)
 {
     std::vector<Access> seen;
     CallbackSink sink([&](const Access &a) { seen.push_back(a); });
-    sink.onRange(7, 3, AccessType::Read);
+    sink.onRun(7, 3, AccessType::Read);
     ASSERT_EQ(seen.size(), 3u);
     EXPECT_EQ(seen[0], readOf(7));
     EXPECT_EQ(seen[2], readOf(9));
 }
 
-TEST(TeeSink, FansOut)
+TEST(AnalysisPipeline, FansOut)
 {
     CountingSink a, b;
-    TeeSink tee({&a, &b});
-    tee.onAccess(readOf(1));
-    tee.onAccess(writeOf(2));
+    AnalysisPipeline pipeline;
+    pipeline.attach(a);
+    pipeline.attach(b);
+    pipeline.onAccess(readOf(1));
+    pipeline.onAccess(writeOf(2));
+    pipeline.flush();
     EXPECT_EQ(a.total(), 2u);
     EXPECT_EQ(b.total(), 2u);
     EXPECT_EQ(a.writes(), 1u);
