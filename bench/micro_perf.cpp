@@ -278,6 +278,28 @@ BM_OptStreaming(benchmark::State &state)
 BENCHMARK(BM_OptStreaming);
 
 void
+BM_OptCurveGrid(benchmark::State &state)
+{
+    // The streaming walk over an 8-point geometric capacity grid on a
+    // matmul trace, the engine's OPT job shape: most accesses miss
+    // the smallest capacities, so each one cascades victims through
+    // several bands (BM_OptStreaming's single band never does).
+    MatmulKernel k;
+    const auto emit = [&](TraceSink &sink) { k.emitTrace(64, 256, sink); };
+    const std::vector<std::uint64_t> grid = {8,   16,  32,  64,
+                                             128, 256, 512, 1024};
+    std::uint64_t words = 0;
+    for (auto _ : state) {
+        const auto curve = simulateOptCurveStreaming(emit, grid);
+        benchmark::DoNotOptimize(curve.missesAt(8));
+        words = curve.accesses();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(words));
+}
+BENCHMARK(BM_OptCurveGrid);
+
+void
 BM_OptChunkPrefetch(benchmark::State &state)
 {
     // Chunk readahead in the pass-2 walk: Arg(0) = synchronous chunk

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <future>
 #include <limits>
-#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -168,15 +167,45 @@ OptCurve::writebacksAt(std::uint64_t capacity) const
 
 namespace {
 
+/// Set in the heap keys of never-reused words: above every trace
+/// position.
+constexpr std::uint64_t kNeverBit = 1ull << 63;
+
 /**
  * The segmented Belady stack. Bands are numbered 1..k for the slices
  * between consecutive requested capacities (band b holds the words
  * resident at capacity C_b but not at C_{b-1}); band k+1 is the
  * unordered overflow beyond C_k. Words only sink between their own
- * accesses, so each band needs just a lazy max-heap on the eviction
- * priority (next use, then address — the victim is the heap top) and
- * the depth information the curve needs is the band an access finds
- * its word in.
+ * accesses, so each band needs just a max-heap on the eviction
+ * priority (the victim is the heap top), and the depth information
+ * the curve needs is the band an access finds its word in.
+ *
+ * The priority is one 64-bit key: the next-use position, or
+ * kNeverBit | id (the dense word id) for a word never used again.
+ * Each trace position is the next use of exactly one earlier access,
+ * so keys never tie. Among finite next uses this is simulateOpt's
+ * order; among never-reused words it breaks ties by id where
+ * simulateOpt uses the address, which no count can see: such a word
+ * is never found again, and each of its dirty epochs costs one
+ * writeback whether an eviction or the final flush ends it. Every
+ * 64-bit address is therefore allowed.
+ *
+ * Heaps delete lazily, and staleness is decided by position alone: an
+ * entry goes stale only when its word is accessed, i.e. at the
+ * position its key names, so while the walk is at position `now`
+ *
+ *     every stale key <= now < every live key.
+ *
+ * A band with any live word therefore always has a live top, and
+ * compaction simply erases keys <= now; the word table is never read
+ * to validate an entry.
+ *
+ * A miss cascades the per-capacity victims downward by replacing heap
+ * tops: at a full level 1 the accessed word takes the place of band
+ * 1's top, and at each deeper full level whose top outranks the
+ * carried victim the carry takes the top's place, one sift-down each.
+ * Only the final landing — in the first non-full band, the band the
+ * word left, or the overflow — is a push.
  */
 class SegmentedOptStack
 {
@@ -187,6 +216,7 @@ class SegmentedOptStack
     {
     }
 
+    /** Feed the access at the next trace position. */
     void access(const Access &a, std::uint64_t next_use);
 
     OptCurve
@@ -210,28 +240,15 @@ class SegmentedOptStack
     }
 
   private:
-    /// (next use, address) — operator< gives a max-heap whose top is
-    /// the eviction victim, matching simulateOpt's tie-break. The
-    /// dense word id rides along so validity checks are one array
-    /// load instead of a hash probe (they run once per heap entry
-    /// per compaction, the hot path of the walk).
+    /// Eviction priority plus the dense word id of the entry's word.
     struct Entry
     {
-        std::uint64_t next;
-        std::uint64_t addr;
+        std::uint64_t key;
         std::uint32_t id;
-
-        friend bool
-        operator<(const Entry &a, const Entry &b)
-        {
-            return a.next != b.next ? a.next < b.next
-                                    : a.addr < b.addr;
-        }
     };
 
     struct Word
     {
-        std::uint64_t next = 0;
         std::uint32_t band = 0; ///< 1..k+1 (k+1 = overflow)
         /// Max band this word was found in since its last write
         /// (kColdWindow until the first write).
@@ -241,51 +258,76 @@ class SegmentedOptStack
     static constexpr std::uint32_t kColdWindow =
         std::numeric_limits<std::uint32_t>::max();
 
-    bool
-    valid(std::size_t b, const Entry &e) const
-    {
-        const Word &w = words_[e.id];
-        return w.band == b + 1 && w.next == e.next;
-    }
+    /// Heap fan-out. A landing carry usually outranks most of its
+    /// band (it was just the victim of every smaller capacity), so
+    /// pushes sift far up; four children per node halve that climb.
+    static constexpr std::size_t kArity = 4;
 
-    /** Drop stale entries; the valid victim of band @p b, or null. */
-    const Entry *
-    peek(std::size_t b)
+    /** Move @p e up from slot @p i of heap @p h to its place. */
+    static void
+    siftUp(std::vector<Entry> &h, std::size_t i, Entry e)
     {
-        auto &h = heaps_[b];
-        while (!h.empty() && !valid(b, h.front())) {
-            std::pop_heap(h.begin(), h.end());
-            h.pop_back();
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / kArity;
+            if (!(h[parent].key < e.key))
+                break;
+            h[i] = h[parent];
+            i = parent;
         }
-        return h.empty() ? nullptr : &h.front();
+        h[i] = e;
     }
 
-    /** Remove the (valid) top of band @p b. */
-    Entry
-    take(std::size_t b)
+    /** Move @p e down from slot @p i of heap @p h to its place. */
+    static void
+    siftDown(std::vector<Entry> &h, std::size_t i, Entry e)
     {
-        auto &h = heaps_[b];
-        std::pop_heap(h.begin(), h.end());
-        const Entry e = h.back();
-        h.pop_back();
-        return e;
+        const std::size_t n = h.size();
+        for (std::size_t first = kArity * i + 1; first < n;
+             first = kArity * i + 1) {
+            const std::size_t last = std::min(first + kArity, n);
+            std::size_t c = first;
+            for (std::size_t x = first + 1; x < last; ++x)
+                if (h[c].key < h[x].key)
+                    c = x;
+            if (h[c].key < e.key)
+                break;
+            h[i] = h[c];
+            i = c;
+        }
+        h[i] = e;
     }
 
-    /** Place the entry's word into band b+1. */
+    /** Put @p e in place of band @p b's top. */
+    void
+    replaceTop(std::size_t b, const Entry &e)
+    {
+        words_[e.id].band = static_cast<std::uint32_t>(b + 1);
+        siftDown(heaps_[b], 0, e);
+    }
+
+    /** Add the entry's word to band b+1. */
     void
     land(std::size_t b, const Entry &e)
     {
+        ++live_[b];
+        push(b, e);
+    }
+
+    void
+    push(std::size_t b, const Entry &e)
+    {
         words_[e.id].band = static_cast<std::uint32_t>(b + 1);
         auto &h = heaps_[b];
-        h.push_back(e);
-        std::push_heap(h.begin(), h.end());
-        ++live_[b];
+        h.emplace_back();
+        siftUp(h, h.size() - 1, e);
         // Lazy deletion accumulates stale entries; compact when they
         // dominate so heap memory stays O(live set).
         if (h.size() > 256 && h.size() > 4 * live_[b]) {
-            std::erase_if(h,
-                          [&](const Entry &e2) { return !valid(b, e2); });
-            std::make_heap(h.begin(), h.end());
+            std::erase_if(h, [walked = walked_](const Entry &e2) {
+                return e2.key < walked;
+            });
+            for (std::size_t i = h.size(); i-- > 0;)
+                siftDown(h, i, h[i]);
         }
     }
 
@@ -298,12 +340,16 @@ class SegmentedOptStack
     std::vector<std::uint64_t> wb_hist_; ///< index = window band
     std::uint64_t cold_ = 0;
     std::uint64_t cold_writebacks_ = 0;
+    /// Positions reached so far, the current access's included: an
+    /// entry is stale iff its key is below this.
+    std::uint64_t walked_ = 0;
 };
 
 void
 SegmentedOptStack::access(const Access &a, std::uint64_t next_use)
 {
     const std::size_t k = caps_.size();
+    ++walked_;
     const auto [id_slot, inserted] = ids_.tryEmplace(a.addr);
     if (inserted) {
         *id_slot = static_cast<std::uint32_t>(words_.size());
@@ -333,65 +379,48 @@ SegmentedOptStack::access(const Access &a, std::uint64_t next_use)
     } else if (inserted) {
         w->window = kColdWindow;
     }
-    w->next = next_use;
 
+    const Entry self{next_use == kNever ? kNeverBit | id : next_use, id};
     if (!inserted && j == 1) {
-        // Hit at every capacity: contents unchanged, priority refresh.
-        auto &h = heaps_[0];
-        h.push_back(Entry{next_use, a.addr, id});
-        std::push_heap(h.begin(), h.end());
+        // Hit at every capacity: contents unchanged, priority refresh
+        // (the old entry, keyed `now`, is stale from here on).
+        push(0, self);
         return;
     }
 
-    // Remove the word from its old band (its heap entry goes stale
-    // through the band change below). Overflow has no heap or count.
-    if (!inserted && j <= k)
-        --live_[j - 1];
-
     // Cascade the per-capacity victims downward through the miss
-    // levels q = 1..j-1 (all of them for cold/overflow words). At
-    // each full level the victim of cache_q — the max of the in-
-    // flight carry and band q's top — sinks one band; the last carry
-    // lands in the word's vacated band.
-    std::optional<Entry> carry;
-    std::uint64_t size_above = 0; // residents in bands 1..q-1 - carry
-    bool carry_landed = false;
+    // levels q = 1..j-1 (all of them for cold/overflow words). The
+    // victim of a full cache_q is the larger of the in-flight carry
+    // and band q's top (the carry outranks all of cache_{q-1}); at
+    // level 1 there is no carry yet, and the accessed word — resident
+    // everywhere once this access is done — takes the top's place.
+    // Full levels keep every band's count, so `resident` (cache_q's
+    // size without the accessed word) is a prefix sum of live_ over
+    // bands the word was not in.
+    if (j <= k)
+        --live_[j - 1];
+    Entry carry = self;
+    std::uint64_t resident = 0;
     const std::size_t miss_levels = std::min(j - 1, k);
-    for (std::size_t q = 1; q <= miss_levels; ++q) {
-        const std::uint64_t size_q =
-            size_above + live_[q - 1] + (carry ? 1 : 0);
-        if (size_q < caps_[q - 1]) {
-            // Not full: no eviction here or below (a non-full cache
-            // has never evicted, so larger ones are non-full too).
-            if (carry) {
-                land(q - 1, *carry);
-                carry_landed = true;
-            }
-            break;
-        }
-        const Entry *top = live_[q - 1] > 0 ? peek(q - 1) : nullptr;
-        KB_ASSERT(top != nullptr || carry.has_value());
-        if (top != nullptr && (!carry || *carry < *top)) {
-            // Band q's top is the victim; the old carry (if any)
-            // stays resident at this capacity and fills the band.
-            const Entry victim = take(q - 1);
-            --live_[q - 1];
-            if (carry)
-                land(q - 1, *carry);
-            carry = victim;
+    std::size_t q = 0; // 0-based band index of the level
+    for (; q < miss_levels; ++q) {
+        resident += live_[q];
+        if (resident < caps_[q])
+            break; // not full: no eviction here or below
+        const Entry top = heaps_[q].front();
+        KB_ASSERT(top.key >= walked_, "stale top in a full OPT band");
+        if (q == 0 || carry.key < top.key) {
+            replaceTop(q, carry);
+            carry = top;
         }
         // else: the carry is still the victim; band q is untouched.
-        size_above += live_[q - 1];
     }
-    if (carry && !carry_landed) {
-        if (j <= k)
-            land(j - 1, *carry);
-        else
-            words_[carry->id].band = static_cast<std::uint32_t>(k + 1);
-    }
-
-    // Finally the accessed word itself enters the top band.
-    land(0, Entry{next_use, a.addr, id});
+    // The last carry lands in the first non-full band, else in the
+    // band the word vacated (q == j-1), else in the overflow.
+    if (q < k)
+        land(q, carry);
+    else
+        words_[carry.id].band = static_cast<std::uint32_t>(k + 1);
 }
 
 } // namespace

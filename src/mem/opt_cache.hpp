@@ -121,19 +121,24 @@ class OptCurve
 /**
  * One-pass OPT miss/writeback curve over a whole capacity set.
  *
- * OPT with a fixed priority order (next use, then address — exactly
- * simulateOpt's tie-break) is a stack algorithm in the Mattson sense,
- * so its per-capacity contents are nested. The simulator keeps the
- * Belady stack partitioned into bands between consecutive requested
- * capacities (plus an unordered overflow beyond the largest) and, on
- * each miss, cascades the per-band victims downward — one pass over
- * the trace replaces one full simulateOpt() run per capacity, and
- * the counts are bit-identical to those runs (with flush_at_end),
- * which the equivalence tests assert. Write-backs use the same
- * dirty-epoch argument as the LRU analyzer: between two accesses a
- * word only sinks in the stack, so "evicted from capacity C since
- * the last write" is exactly "some access since then found it below
- * C".
+ * OPT with a fixed priority order (next use; never-reused words
+ * last) is a stack algorithm in the Mattson sense, so its
+ * per-capacity contents are nested. The simulator keeps the Belady
+ * stack partitioned into bands between consecutive requested
+ * capacities (plus an unordered overflow beyond the largest), each a
+ * lazily deleted max-heap on one 64-bit next-use key. An entry goes
+ * stale exactly when the walk reaches the position its key names, so
+ * stale keys <= now < live keys: stale entries never surface at a
+ * heap top and compaction needs no word-table lookup. On each miss
+ * the per-band victims cascade downward by replacing heap tops (one
+ * sift per level), and only the last victim's landing is a push. One
+ * pass over the trace replaces one full simulateOpt() run per
+ * capacity, and the counts are bit-identical to those runs (with
+ * flush_at_end), which the equivalence tests assert. Write-backs use
+ * the same dirty-epoch argument as the LRU analyzer: between two
+ * accesses a word only sinks in the stack, so "evicted from capacity
+ * C since the last write" is exactly "some access since then found it
+ * below C".
  *
  * @param trace      access sequence (OPT needs the whole future)
  * @param capacities capacities to resolve; must be non-empty and
