@@ -53,16 +53,10 @@ activeSimdIsa()
     return isa;
 }
 
-/// Mirror of MultiSetReuseAnalyzer::kColdWindow (that member is
-/// private) for the plane-run bodies below.
-constexpr std::uint64_t kPlaneColdWindow =
-    std::numeric_limits<std::uint64_t>::max();
-
-// Dispatch at run granularity: the whole plane x word loop is
-// compiled once per dispatchable ISA (trace/plane_run.inc), so the
-// util/simd.hpp lane kernels inline into the loop and the indirect
-// call is paid once per run — not per row primitive, which on 8-slot
-// rows costs more than the scan it guards.
+// Dispatch at run granularity: the compressed-row loop is compiled
+// once per dispatchable ISA (trace/plane_run.inc), so orderedAccess8
+// inlines into the loop and the indirect call is paid once per run —
+// not per access, which costs more than the access it guards.
 #if defined(KB_SIMD_X86)
 
 #define KB_PLANE_RUN_FN planeRunSse2
@@ -104,7 +98,8 @@ constexpr std::uint64_t kPlaneColdWindow =
 // Same recipe for MarkRank's rank query (trace/rank_scan.inc): the
 // block-scan reductions of util/simd.hpp inline into one function per
 // dispatchable ISA, and the fully associative pass pays one indirect
-// call per rank query.
+// call per rank query. The AVX2 query is the generic loops compiled
+// for the avx2 target, which match hand-written AVX2 reductions.
 #if defined(KB_SIMD_X86)
 
 #define KB_RANK_FN rankIncSse2
@@ -116,7 +111,7 @@ constexpr std::uint64_t kPlaneColdWindow =
 #undef KB_RANK_TARGET
 
 #define KB_RANK_FN rankIncAvx2
-#define KB_RANK_ISA kb::simd::avx2
+#define KB_RANK_ISA kb::simd::generic
 #define KB_RANK_TARGET __attribute__((target("avx2")))
 #include "trace/rank_scan.inc"
 #undef KB_RANK_FN
@@ -348,64 +343,51 @@ MultiSetReuseAnalyzer::MultiSetReuseAnalyzer(
 {
     KB_REQUIRE(!sets_.empty() && max_ways_ > 0,
                "multi-set analyzer needs set counts and max_ways > 0");
-    // Pad every set row to the lane width so the SIMD kernels run
-    // whole vectors only; the scalar oracle shares the layout (its
-    // loops never read the padding).
-    const std::uint64_t lanes = simd::kLaneWidth;
-    stride_ = (max_ways_ + lanes - 1) / lanes * lanes;
-    pad_mask_.assign(static_cast<std::size_t>(stride_), 0);
-    for (std::uint64_t i = max_ways_; i < stride_; ++i)
-        pad_mask_[static_cast<std::size_t>(i)] = ~0ull;
     std::size_t slots = 0;
     for (const auto sets : sets_) {
         KB_REQUIRE(sets > 0, "set counts must be positive");
         plane_base_.push_back(slots);
-        slots += static_cast<std::size_t>(sets * stride_);
+        slots += static_cast<std::size_t>(sets * max_ways_);
     }
-    slot_addr_.assign(slots, 0);
-    slot_stamp_.assign(slots, 0);
-    slot_window_.assign(slots, 0);
     const std::size_t row = static_cast<std::size_t>(max_ways_) + 1;
     hist_.assign(sets_.size() * row, 0);
     wb_hist_.assign(sets_.size() * row, 0);
     cold_writebacks_.assign(sets_.size(), 0);
-    // The Simd path's per-plane contexts, built once: every backing
-    // vector has reached its final size, so the pointers stay valid
-    // for the analyzer's lifetime.
-    plane_run_ = planeRunFor(activeSimdIsa());
-    for (std::size_t plane = 0; plane < sets_.size(); ++plane)
-        plane_ctx_.push_back(
-            {slot_addr_.data() + plane_base_[plane],
-             slot_stamp_.data() + plane_base_[plane],
-             slot_window_.data() + plane_base_[plane],
-             hist_.data() + plane * row, wb_hist_.data() + plane * row,
-             cold_writebacks_.data() + plane, pad_mask_.data(), nullptr,
-             sets_[plane], stride_, max_ways_});
-    // Stride-8 planes on the Simd path start on the compressed
-    // recency-ordered representation (16 u32 per set, one 64-byte
-    // line; see util/simd.hpp's ordered-row contract). 15 u32 of
+    if (path_ != AnalyzerPath::Simd || max_ways_ > 8) {
+        allocateStampRows();
+        return;
+    }
+    // Simd planes of at most 8 ways start on the compressed
+    // recency-ordered rows (16 u32 per set, one 64-byte line; see
+    // util/simd.hpp's ordered-row contract). 15 u32 of
     // over-allocation lets the base pointer round up to a 64-byte
-    // boundary; the buffer address survives moves, so the pointers in
-    // plane_ctx_ stay valid.
-    if (path_ == AnalyzerPath::Simd && stride_ == 8) {
-        rows_buf_.assign(slots * 2 + 15, 0);
-        auto misalign = reinterpret_cast<std::uintptr_t>(
-                            rows_buf_.data()) %
-                        64;
-        rows_base_ = rows_buf_.data() +
-                     (misalign ? (64 - misalign) / 4 : 0);
-        for (std::size_t i = 0; i < slots * 2; ++i)
-            rows_base_[i] =
-                (i % 16) < 8 ? simd::kOrderedEmpty : 0u;
-        for (std::size_t plane = 0; plane < sets_.size(); ++plane)
-            plane_ctx_[plane].rows =
-                rows_base_ + plane_base_[plane] * 2;
-        compressed_ = true;
+    // boundary; the buffer address survives moves, and every other
+    // backing vector has reached its final size, so the prebuilt
+    // plane contexts stay valid for the analyzer's lifetime.
+    std::size_t row_words = 0;
+    for (const auto sets : sets_)
+        row_words += static_cast<std::size_t>(sets) * 16;
+    rows_buf_.assign(row_words + 15, 0);
+    const auto misalign =
+        reinterpret_cast<std::uintptr_t>(rows_buf_.data()) % 64;
+    std::uint32_t *rows =
+        rows_buf_.data() + (misalign ? (64 - misalign) / 4 : 0);
+    for (std::size_t i = 0; i < row_words; ++i)
+        rows[i] = (i % 16) < 8 ? simd::kOrderedEmpty : 0u;
+    plane_run_ = planeRunFor(activeSimdIsa());
+    for (std::size_t plane = 0; plane < sets_.size(); ++plane) {
+        plane_ctx_.push_back({hist_.data() + plane * row,
+                              wb_hist_.data() + plane * row,
+                              cold_writebacks_.data() + plane, rows,
+                              sets_[plane], max_ways_});
+        rows += static_cast<std::size_t>(sets_[plane]) * 16;
     }
 }
 
 // The pre-SIMD row scan, kept verbatim as the bit-exactness oracle
 // (KB_ANALYZER=scalar); only the row base math moved to the caller.
+// It also serves every row the compressed form cannot hold: planes
+// wider than 8 ways and rows demoted past the 32-bit address range.
 void
 MultiSetReuseAnalyzer::planeStepScalar(std::size_t plane,
                                        std::size_t row,
@@ -481,41 +463,32 @@ MultiSetReuseAnalyzer::planeStepScalar(std::size_t plane,
     windows[victim] = window;
 }
 
-// The Simd path: hand the run to the ISA-specialized plane loop
-// (trace/plane_run.inc) over the prebuilt contexts — ONE indirect
-// call per run, everything else inlined there.
 void
-MultiSetReuseAnalyzer::simdRun(std::uint64_t base, std::uint64_t words,
-                               bool write)
+MultiSetReuseAnalyzer::allocateStampRows()
 {
-    if (compressed_ && (base > simd::kOrderedMaxAddr ||
-                        words - 1 > simd::kOrderedMaxAddr - base))
-        demoteCompressedRows();
-    const std::uint64_t now0 = clock_;
-    clock_ += words;
-    accesses_ += words;
-    plane_run_(plane_ctx_.data(), plane_ctx_.size(), base, words, now0,
-               write);
+    const std::size_t slots =
+        plane_base_.back() +
+        static_cast<std::size_t>(sets_.back() * max_ways_);
+    slot_addr_.assign(slots, 0);
+    slot_stamp_.assign(slots, 0);
+    slot_window_.assign(slots, 0);
 }
 
 void
 MultiSetReuseAnalyzer::demoteCompressedRows()
 {
+    allocateStampRows();
     for (std::size_t plane = 0; plane < sets_.size(); ++plane) {
         for (std::uint64_t set = 0; set < sets_[plane]; ++set) {
             const std::size_t slot =
                 plane_base_[plane] +
-                static_cast<std::size_t>(set * stride_);
-            const std::uint32_t *row = rows_base_ + slot * 2;
-            for (std::uint64_t j = 0; j < stride_; ++j) {
+                static_cast<std::size_t>(set * max_ways_);
+            const std::uint32_t *row = plane_ctx_[plane].rows + set * 16;
+            for (std::uint64_t j = 0; j < max_ways_; ++j) {
                 const std::uint32_t a = row[j];
                 const std::uint32_t w = row[8 + j];
-                if (a == simd::kOrderedEmpty) {
-                    slot_addr_[slot + j] = 0;
-                    slot_stamp_[slot + j] = 0;
-                    slot_window_[slot + j] = 0;
-                    continue;
-                }
+                if (a == simd::kOrderedEmpty)
+                    continue; // allocateStampRows() zeroed the slot
                 slot_addr_[slot + j] = a;
                 // Recency order becomes descending stamps; position
                 // j implies at least j+1 prior accesses, so the
@@ -526,35 +499,44 @@ MultiSetReuseAnalyzer::demoteCompressedRows()
                     w == simd::kOrderedColdWindow ? kColdWindow : w;
             }
         }
-        plane_ctx_[plane].rows = nullptr;
     }
-    compressed_ = false;
-    rows_base_ = nullptr;
+    plane_ctx_.clear();
+    plane_run_ = nullptr;
     rows_buf_.clear();
     rows_buf_.shrink_to_fit();
 }
 
 void
-MultiSetReuseAnalyzer::step(std::uint64_t addr, bool write)
+MultiSetReuseAnalyzer::scalarRun(std::uint64_t base, std::uint64_t words,
+                                 bool write)
 {
-    ++accesses_;
-    const std::uint64_t now = ++clock_;
+    const std::uint64_t now0 = clock_;
+    clock_ += words;
+    accesses_ += words;
+    // Scalar bulk path: within a contiguous run the set index
+    // advances by one (mod sets) per word, so the per-word modulo
+    // becomes one wrap test — and iterating plane-major keeps each
+    // plane's slot arrays hot across the whole run. Planes are
+    // independent and word i keeps clock now0+i+1, so the result is
+    // bit-identical to feeding the words one at a time.
     for (std::size_t plane = 0; plane < sets_.size(); ++plane) {
-        const std::size_t row =
-            plane_base_[plane] +
-            static_cast<std::size_t>((addr % sets_[plane]) * stride_);
-        planeStepScalar(plane, row, addr, now, write);
+        const std::uint64_t sets = sets_[plane];
+        std::uint64_t set = base % sets;
+        for (std::uint64_t i = 0; i < words; ++i) {
+            const std::size_t row =
+                plane_base_[plane] +
+                static_cast<std::size_t>(set * max_ways_);
+            planeStepScalar(plane, row, base + i, now0 + i + 1, write);
+            if (++set == sets)
+                set = 0;
+        }
     }
 }
 
 void
 MultiSetReuseAnalyzer::onAccess(const Access &access)
 {
-    if (path_ == AnalyzerPath::Simd) {
-        simdRun(access.addr, 1, access.isWrite());
-        return;
-    }
-    step(access.addr, access.isWrite());
+    onRun(access.addr, 1, access.type);
 }
 
 void
@@ -564,31 +546,20 @@ MultiSetReuseAnalyzer::onRun(std::uint64_t base, std::uint64_t words,
     if (words == 0)
         return;
     const bool write = type == AccessType::Write;
-    if (path_ == AnalyzerPath::Simd) {
-        simdRun(base, words, write);
+    if (plane_run_ != nullptr &&
+        (base > simd::kOrderedMaxAddr ||
+         words - 1 > simd::kOrderedMaxAddr - base))
+        demoteCompressedRows();
+    if (plane_run_ == nullptr) {
+        scalarRun(base, words, write);
         return;
     }
-    const std::uint64_t now0 = clock_;
+    // Hand the run to the ISA-specialized compressed-row loop
+    // (trace/plane_run.inc): ONE indirect call per run. The clock
+    // still advances, so a later demotion can rebuild stamps.
     clock_ += words;
     accesses_ += words;
-    // Scalar bulk path: within a contiguous run the set index
-    // advances by one (mod sets) per word, so the per-word modulo
-    // becomes one wrap test — and iterating plane-major keeps each
-    // plane's slot arrays hot across the whole run. Planes are
-    // independent and word i keeps clock now0+i+1, so the result is
-    // bit-identical to the per-access path.
-    for (std::size_t plane = 0; plane < sets_.size(); ++plane) {
-        const std::uint64_t sets = sets_[plane];
-        std::uint64_t set = base % sets;
-        for (std::uint64_t i = 0; i < words; ++i) {
-            const std::size_t row =
-                plane_base_[plane] +
-                static_cast<std::size_t>(set * stride_);
-            planeStepScalar(plane, row, base + i, now0 + i + 1, write);
-            if (++set == sets)
-                set = 0;
-        }
-    }
+    plane_run_(plane_ctx_.data(), plane_ctx_.size(), base, words, write);
 }
 
 MissCurve

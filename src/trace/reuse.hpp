@@ -149,13 +149,15 @@ class MissCurve
  * Analyzer implementation selector, shared by the set-associative row
  * scans and the fully associative pass.
  *
- * `Simd` (the default) runs the per-set stamp-row scans through the
- * KB_SIMD lane kernels of util/simd.hpp over rows padded to the
- * vector width, issues MarkRank's block scans through the same
- * dispatch, and lets the fully associative pass take its run-block
- * map shortcut; `Scalar` keeps the original loops verbatim as the
- * bit-exactness oracle. Both produce identical curves on every trace
- * (analyzer_diff_test asserts it per registered kernel).
+ * `Simd` (the default) keeps every set-associative plane of at most 8
+ * ways on compressed recency-ordered rows driven by the KB_SIMD
+ * orderedAccess8 kernel of util/simd.hpp (wider planes, and rows past
+ * the 32-bit address guard, run the scalar stamp rows), issues
+ * MarkRank's block scans through the same dispatch, and lets the
+ * fully associative pass take its run-block map shortcut; `Scalar`
+ * keeps the original loops verbatim as the bit-exactness oracle. Both
+ * produce identical curves on every trace (analyzer_diff_test asserts
+ * it per registered kernel).
  */
 enum class AnalyzerPath
 {
@@ -430,37 +432,30 @@ namespace detail {
  * One plane of the multi-set analyzer flattened to raw pointers, so
  * the ISA-specialized run loops of trace/plane_run.inc touch no class
  * internals. hist / wb_hist point at the plane's own histogram rows,
- * cold_writebacks at its counter; every pointer is stable for the
- * analyzer's lifetime (the backing vectors never resize after
+ * cold_writebacks at its counter; every pointer is stable until the
+ * rows are demoted (the backing vectors never resize after
  * construction), so the contexts are built once.
  */
 struct MultiSetPlane
 {
-    std::uint64_t *addrs;
-    std::uint64_t *stamps;
-    std::uint64_t *windows;
     std::uint64_t *hist;
     std::uint64_t *wb_hist;
     std::uint64_t *cold_writebacks;
-    const std::uint64_t *pad_mask;
-    /// Recency-ordered compressed rows (16 u32 per set: 8 addresses
-    /// in LRU order + 8 dirty windows, one 64-byte line), or nullptr
-    /// when the plane runs the general stamp path. Non-null only for
-    /// stride-8 planes on the Simd path; cleared for good if a run
-    /// outgrows the 32-bit address range (see simd::kOrderedMaxAddr).
+    /// Recency-ordered compressed rows, 16 u32 per set: 8 addresses in
+    /// LRU order + 8 dirty windows, one 64-byte line (see
+    /// util/simd.hpp's ordered-row contract).
     std::uint32_t *rows;
     std::uint64_t sets;
-    std::uint64_t stride;
     std::uint64_t max_ways;
 };
 
-/// A whole run against every plane — ONE indirect call per run (the
-/// rows are a few vectors each, so dispatch any finer costs more than
-/// the scans it guards).
+/// A whole run against every plane — ONE indirect call per run (a
+/// row access is a few instructions, so dispatch any finer costs more
+/// than the access it guards).
 using MultiSetRunFn = void (*)(const MultiSetPlane *planes,
                                std::size_t plane_count,
                                std::uint64_t base, std::uint64_t words,
-                               std::uint64_t now0, bool write);
+                               bool write);
 
 } // namespace detail
 
@@ -497,7 +492,9 @@ using MultiSetRunFn = void (*)(const MultiSetPlane *planes,
  * beyond max_ways saturate at the lumped bucket). Each set keeps its
  * top max_ways words in a stamp row: the per-set stack distance of a
  * resident word is the number of larger stamps in its row — no list
- * maintenance, just the scan a SetAssocCache pays anyway.
+ * maintenance, just the scan a SetAssocCache pays anyway. On the Simd
+ * path a plane of at most 8 ways keeps each row in recency order
+ * instead (util/simd.hpp), where the match position is the distance.
  */
 class MultiSetReuseAnalyzer : public TraceSink
 {
@@ -516,8 +513,8 @@ class MultiSetReuseAnalyzer : public TraceSink
     MultiSetReuseAnalyzer(const std::vector<std::uint64_t> &set_counts,
                           std::uint64_t max_ways, AnalyzerPath path);
 
-    // Movable, not copyable: plane_ctx_ points into the slot vectors'
-    // buffers, which transfer on move but not on copy.
+    // Movable, not copyable: plane_ctx_ points into the histogram and
+    // row vectors' buffers, which transfer on move but not on copy.
     MultiSetReuseAnalyzer(const MultiSetReuseAnalyzer &) = delete;
     MultiSetReuseAnalyzer &
     operator=(const MultiSetReuseAnalyzer &) = delete;
@@ -549,39 +546,34 @@ class MultiSetReuseAnalyzer : public TraceSink
     static constexpr std::uint64_t kColdWindow =
         std::numeric_limits<std::uint64_t>::max();
 
-    void step(std::uint64_t addr, bool write);
     void planeStepScalar(std::size_t plane, std::size_t row,
                          std::uint64_t addr, std::uint64_t now,
                          bool write);
-    /// Simd-path bulk step: the ISA-specialized plane loop of
-    /// trace/plane_run.inc, one indirect call per plane per run.
-    void simdRun(std::uint64_t base, std::uint64_t words, bool write);
+    /// Scalar bulk step: planeStepScalar over every word of the run,
+    /// plane-major. Serves the Scalar path, planes wider than 8 ways
+    /// and every run after demoteCompressedRows().
+    void scalarRun(std::uint64_t base, std::uint64_t words, bool write);
+    /// Size the zeroed stamp-row slot arrays; compressed analyzers
+    /// skip them until demoteCompressedRows() needs them.
+    void allocateStampRows();
     /// One-time fallback out of the compressed representation: turn
     /// every recency-ordered row back into stamp rows (order becomes
     /// descending stamps, same resident sets / order / windows, so
-    /// the continuation is output-identical) and continue on the
-    /// general stamp path. Triggered by the first run whose addresses
-    /// exceed simd::kOrderedMaxAddr.
+    /// the continuation is output-identical) and continue on
+    /// scalarRun. Triggered by the first run whose addresses exceed
+    /// simd::kOrderedMaxAddr.
     void demoteCompressedRows();
 
     std::uint64_t max_ways_;
     AnalyzerPath path_;
-    /// Slots per set row: max_ways rounded up to the KB_SIMD lane
-    /// width, so the lane kernels never run a per-access tail loop.
-    /// Padding slots keep stamp 0 forever (the empty sentinel), which
-    /// excludes them from the probe and the rank count; the victim
-    /// select masks them out via pad_mask_.
-    std::uint64_t stride_;
     std::vector<std::uint64_t> sets_;
     /// Slot-array offset of each plane: plane p's set s occupies
-    /// slots [base[p] + s*stride, +stride) of the SoA arrays.
+    /// slots [base[p] + s*max_ways, +max_ways) of the SoA arrays.
     std::vector<std::size_t> plane_base_;
-    /// ~0 on padding lanes (index >= max_ways), 0 elsewhere; one row,
-    /// shared by every set (see simd minIndex's contract).
-    std::vector<std::uint64_t> pad_mask_;
     /// SoA slot state across all planes (stamp 0 = empty slot;
     /// window = max per-set stack distance among the word's accesses
     /// since its last write, kColdWindow until the first write).
+    /// Empty while the rows are compressed.
     std::vector<std::uint64_t> slot_addr_;
     std::vector<std::uint64_t> slot_stamp_;
     std::vector<std::uint64_t> slot_window_;
@@ -590,18 +582,15 @@ class MultiSetReuseAnalyzer : public TraceSink
     std::vector<std::uint64_t> hist_;
     std::vector<std::uint64_t> wb_hist_;
     std::vector<std::uint64_t> cold_writebacks_;
-    /// Prebuilt plane contexts + the resolved ISA loop for the Simd
-    /// path (unused by Scalar).
+    /// Compressed-row state: the per-plane contexts and the resolved
+    /// ISA loop of trace/plane_run.inc, and the backing store for
+    /// every plane's rows (64-byte aligned via over-allocation). Built
+    /// only for Simd analyzers of at most 8 ways; emptied for good by
+    /// demoteCompressedRows(). A non-null plane_run_ means the rows
+    /// are compressed.
     std::vector<detail::MultiSetPlane> plane_ctx_;
     detail::MultiSetRunFn plane_run_ = nullptr;
-    /// Backing store for the compressed rows of all planes (64-byte
-    /// aligned via over-allocation; empty when the Simd path or the
-    /// stride-8 shape does not apply). Plane p's rows start at
-    /// rows_base_ + plane_base_[p] * 2 (16 u32 per set vs the slot
-    /// arrays' stride-8 u64 rows).
     std::vector<std::uint32_t> rows_buf_;
-    std::uint32_t *rows_base_ = nullptr;
-    bool compressed_ = false;
     std::uint64_t clock_ = 0;
     std::uint64_t accesses_ = 0;
 };

@@ -1,22 +1,34 @@
 /**
  * @file
- * KB_SIMD: width-N u64 lane kernels for the set-associative analyzer
- * row scans, behind feature dispatch.
+ * KB_SIMD: the analyzers' two hand-vectorizable kernel families, behind
+ * feature dispatch.
  *
- * The per-set Mattson pass (trace/reuse.hpp) spends its time in three
- * scans over one stamp row of `max_ways` slots: the address-match
- * probe, the rank count (`stamps[i] > hit_stamp`), and the min-stamp
- * victim select. Each is a pure reduction over a short contiguous row,
- * so this header exposes them as row primitives over rows padded to
- * the vector width and implements them with hand-written intrinsics
- * per ISA:
+ * 1. Compressed-row access (orderedAccess8). The set-associative
+ *    Mattson pass (trace/reuse.hpp) keeps every set of a plane of at
+ *    most 8 ways as one recency-ordered 64-byte row (contract below);
+ *    one access is a probe plus a rotate-to-front.
+ * 2. MarkRank block scans (popcountRange, sumRange16/32/64) for the
+ *    fully associative pass (trace/rank_scan.inc): exact integer
+ *    reductions over at most 63 elements per level, so every ISA
+ *    returns the same value in any summation order.
  *
- *   AVX2    4 x u64 lanes (cmpeq/cmpgt_epi64 + sign-flip bias)
- *   SSE2    2 x u64 lanes (64-bit eq/unsigned-gt synthesized from
- *           32-bit ops — the x86-64 baseline)
- *   NEON    2 x u64 lanes (aarch64)
- *   generic portable scalar loops (always compiled; the only choice
- *           on targets with neither ISA)
+ * Each family has a `generic` body of plain loops (always compiled;
+ * the only choice on targets with neither ISA). Hand-written
+ * intrinsics stay only where they beat those loops, measured on a
+ * 4-vCPU AVX2 host with GCC 12.2 (RelWithDebInfo, micro_perf medians):
+ *
+ *   AVX2  orderedAccess8: one compare + two table permutes, 23.5M/s
+ *         against 10.5M/s for the plain early-exit loop
+ *         (BM_MultiSetRowScan/1). The block scans are the generic
+ *         loops compiled under the avx2 target (which also brings the
+ *         popcnt instruction): 16.6M/s, level with the AVX2
+ *         intrinsics they replaced (BM_MarkRankSimd), so no AVX2 scan
+ *         intrinsics remain.
+ *   SSE2  orderedAccess8 (vector probe, scalar rotate) and the block
+ *         scans: at the x86-64 baseline the intrinsic scans run
+ *         13.3M/s against 8.8M/s for the generic loops.
+ *   NEON  orderedAccess8 (vector probe, scalar rotate) and the block
+ *         scans (aarch64).
  *
  * On x86-64 the dispatch is at RUN time: both the SSE2 baseline and
  * the AVX2 variants (compiled via the function target attribute, so a
@@ -26,35 +38,14 @@
  * same binary's baseline path stays bit-exact on pre-AVX2 hardware.
  * Other targets dispatch at compile time.
  *
- * Because the rows are tiny (max_ways is 8 in the engine), dispatch
- * granularity decides everything: an indirect call per primitive costs
- * more than the scan it guards. The analyzer therefore stamps out its
- * whole per-plane run loop once per ISA (trace/plane_run.inc) with
- * these primitives fully inlined, and pays one indirect call per plane
- * per *run*.
+ * The kernels are far too short to survive an indirect call each, so
+ * the analyzers stamp out their whole run loop (trace/plane_run.inc)
+ * and rank query (trace/rank_scan.inc) once per ISA with these bodies
+ * inlined, and pay one indirect call per run or per query.
  *
- * Contract shared by every implementation (the analyzer's scalar
- * oracle pins it bit-exactly):
- *
- *  - `stride` is a positive multiple of kLaneWidth; padding lanes
- *    (beyond the logical row) hold stamp 0 and are never probed
- *    (stamp 0 = empty sentinel) nor rank-counted (thresholds are >= 1).
- *  - findResident returns the LOWEST matching index (resident
- *    addresses are unique within a row, so any-match would do — the
- *    lowest-set-bit scan gives first-match for free).
- *  - minIndex returns the lowest index minimizing
- *    `stamps[i] | pad_mask[i]`: pad_mask holds ~0 on padding lanes
- *    (and 0 elsewhere) so padding never wins, and because an empty
- *    slot's stamp 0 is the global minimum this is exactly the scalar
- *    "first empty slot, else lowest-index LRU" victim rule.
- *
- * A second family serves the MarkRank block scans of the fully
- * associative analyzer (trace/rank_scan.inc): popcountRange sums the
- * set bits of a u64 range, sumRange16/32/64 sum short count arrays.
- * All are exact integer reductions, so every ISA returns the same
- * value in any summation order; sumRange16's inputs must stay below
- * 2^15 (MarkRank's level-1 counts max out at 4096), which lets the
- * x86 tiers use the signed madd instruction.
+ * sumRange16's inputs must stay below 2^15 (MarkRank's level-1 counts
+ * max out at 4096), which lets the SSE2 tier use the signed madd
+ * instruction.
  */
 
 #pragma once
@@ -118,16 +109,6 @@ parseIsa(std::string_view name, Isa &out)
     return true;
 }
 
-#if defined(KB_SIMD_X86)
-/// Rows are padded to the widest dispatchable width (AVX2); the SSE2
-/// loops consume the same layout two lanes at a time.
-inline constexpr std::uint64_t kLaneWidth = 4;
-#elif defined(KB_SIMD_NEON)
-inline constexpr std::uint64_t kLaneWidth = 2;
-#else
-inline constexpr std::uint64_t kLaneWidth = 1;
-#endif
-
 /** Best ISA this build+host pair supports. */
 inline Isa
 detectIsa()
@@ -143,7 +124,7 @@ detectIsa()
 }
 
 /** Whether @p isa can run on this build+host (Generic always can —
- *  its loops handle any stride the padded layout produces). */
+ *  its bodies are plain loops). */
 inline bool
 isaAvailable(Isa isa)
 {
@@ -165,37 +146,24 @@ isaAvailable(Isa isa)
     }
 }
 
-/**
- * Result of a fused stride-8 row access (the engine's only row shape:
- * max_ways = 8 pads to stride 8 at every lane width). On a hit,
- * `hit` is the slot index and `value` the rank count; on a miss,
- * `hit` is 8 and `value` the victim index. Fusing lets the whole row
- * live in registers across probe + rank/victim — the separate
- * primitives reload it per scan.
- */
-struct Row8
-{
-    std::uint64_t hit;
-    std::uint64_t value;
-};
-
 /*
- * Recency-ordered compressed rows — the stride-8 fast path.
+ * Recency-ordered compressed rows.
  *
- * When a plane's rows are 8 lanes wide (max_ways <= 8 after lane
- * padding) and every trace address fits 32 bits, the analyzer drops
- * stamps entirely and keeps each set's row as 8 u32 addresses in LRU
- * order followed by 8 u32 dirty windows — one 64-byte line per set.
- * The probe's match position then IS the stack distance (rank = the
- * number of more-recent residents = position in recency order), the
- * eviction victim IS the tail lane (empty lanes cluster at the tail,
- * so tail-drop evicts an empty slot first, else the LRU line — the
- * same resident set the stamp rule keeps), and the update is a single
- * table-driven rotate-to-front. Outputs are bit-identical to the
- * stamp formulation; only the state representation differs. If a run
- * ever exceeds the 32-bit address range the analyzer converts the
- * ordered rows back into stamp rows once (order -> descending stamps)
- * and continues on the general path.
+ * When a plane has at most 8 ways and every trace address fits 32
+ * bits, the analyzer keeps no stamps: each set's row is 8 u32
+ * addresses in LRU order followed by 8 u32 dirty windows, one 64-byte
+ * line per set. Lanes at or past the plane's way count stay
+ * kOrderedEmpty for good. The probe's match position then IS the
+ * stack distance (rank = the number of more-recent residents =
+ * position in recency order), the eviction victim IS the last live
+ * lane (empty lanes cluster at the tail, so tail-drop evicts an empty
+ * slot first, else the LRU line — the same resident set the scalar
+ * stamp rule keeps), and the update is a single table-driven
+ * rotate-to-front. Outputs are bit-identical to the stamp formulation;
+ * only the state representation differs. If a run ever exceeds the
+ * 32-bit address range the analyzer converts the ordered rows back
+ * into stamp rows once (order -> descending stamps) and continues on
+ * the scalar oracle.
  */
 
 /** Empty-lane sentinel; never equals a probed address because the
@@ -225,8 +193,8 @@ alignas(32) inline constexpr std::uint32_t kOrderedHitCtrl[8][8] = {
 };
 
 /** Miss rotate, indexed by the logical way count: drop lane ways-1
- *  (the LRU-or-empty tail), shift lanes 0..ways-2 back, keep padding
- *  lanes >= ways in place (they stay the empty sentinel). Lane 0 is
+ *  (the LRU-or-empty tail), shift lanes 0..ways-2 back, keep the
+ *  unused lanes >= ways in place (they stay the empty sentinel). Lane 0 is
  *  blended with the new address afterwards, so its control value is
  *  arbitrary. Index 0 is unused (a row always has >= 1 way). */
 alignas(32) inline constexpr std::uint32_t kOrderedMissCtrl[9][8] = {
@@ -246,52 +214,6 @@ inline constexpr std::uint32_t kOrderedWinSeed[9] = {
 };
 
 namespace generic {
-
-inline std::uint64_t
-findResident(const std::uint64_t *addrs, const std::uint64_t *stamps,
-             std::uint64_t stride, std::uint64_t addr)
-{
-    for (std::uint64_t i = 0; i < stride; ++i)
-        if (stamps[i] != 0 && addrs[i] == addr)
-            return i;
-    return stride;
-}
-
-inline std::uint64_t
-countGreater(const std::uint64_t *stamps, std::uint64_t stride,
-             std::uint64_t threshold)
-{
-    std::uint64_t count = 0;
-    for (std::uint64_t i = 0; i < stride; ++i)
-        count += stamps[i] > threshold;
-    return count;
-}
-
-inline std::uint64_t
-minIndex(const std::uint64_t *stamps, const std::uint64_t *pad_mask,
-         std::uint64_t stride)
-{
-    std::uint64_t victim = 0;
-    std::uint64_t best = stamps[0] | pad_mask[0];
-    for (std::uint64_t i = 1; i < stride; ++i) {
-        const std::uint64_t key = stamps[i] | pad_mask[i];
-        if (key < best) {
-            best = key;
-            victim = i;
-        }
-    }
-    return victim;
-}
-
-inline Row8
-rowAccess8(const std::uint64_t *addrs, const std::uint64_t *stamps,
-           const std::uint64_t *pad_mask, std::uint64_t addr)
-{
-    const std::uint64_t hit = findResident(addrs, stamps, 8, addr);
-    if (hit != 8)
-        return {hit, countGreater(stamps, 8, stamps[hit])};
-    return {8, minIndex(stamps, pad_mask, 8)};
-}
 
 /** Scalar rotate shared by every non-AVX2 compressed path: @p d is
  *  the probe result (8 = miss); see Ordered8 for the contract. */
@@ -375,170 +297,6 @@ sumRange64(const std::uint64_t *values, std::size_t n)
 
 namespace avx2 {
 
-__attribute__((target("avx2"))) inline std::uint64_t
-findResident(const std::uint64_t *addrs, const std::uint64_t *stamps,
-             std::uint64_t stride, std::uint64_t addr)
-{
-    const __m256i target =
-        _mm256_set1_epi64x(static_cast<long long>(addr));
-    const __m256i zero = _mm256_setzero_si256();
-    for (std::uint64_t i = 0; i < stride; i += 4) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(addrs + i));
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(stamps + i));
-        const __m256i hit = _mm256_andnot_si256(
-            _mm256_cmpeq_epi64(s, zero), _mm256_cmpeq_epi64(a, target));
-        const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(hit));
-        if (mask != 0)
-            return i + static_cast<std::uint64_t>(std::countr_zero(
-                           static_cast<unsigned>(mask)));
-    }
-    return stride;
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t
-countGreater(const std::uint64_t *stamps, std::uint64_t stride,
-             std::uint64_t threshold)
-{
-    // AVX2 only compares signed; XOR-ing both sides with 2^63 maps
-    // unsigned order onto signed order.
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    const __m256i t = _mm256_set1_epi64x(
-        static_cast<long long>(threshold ^ 0x8000000000000000ull));
-    __m256i acc = _mm256_setzero_si256();
-    for (std::uint64_t i = 0; i < stride; i += 4) {
-        const __m256i s = _mm256_xor_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(stamps + i)),
-            bias);
-        acc = _mm256_sub_epi64(acc, _mm256_cmpgt_epi64(s, t));
-    }
-    std::uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t
-minIndex(const std::uint64_t *stamps, const std::uint64_t *pad_mask,
-         std::uint64_t stride)
-{
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    // Biased domain: u64 order == signed order. Start at biased ~0.
-    __m256i best = _mm256_set1_epi64x(0x7fffffffffffffffll);
-    for (std::uint64_t i = 0; i < stride; i += 4) {
-        const __m256i key = _mm256_or_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(stamps + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(pad_mask + i)));
-        const __m256i kb = _mm256_xor_si256(key, bias);
-        best = _mm256_blendv_epi8(best, kb,
-                                  _mm256_cmpgt_epi64(best, kb));
-    }
-    std::uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), best);
-    long long min_s = static_cast<long long>(lanes[0]);
-    for (int l = 1; l < 4; ++l)
-        if (static_cast<long long>(lanes[l]) < min_s)
-            min_s = static_cast<long long>(lanes[l]);
-    const __m256i target = _mm256_set1_epi64x(min_s);
-    for (std::uint64_t i = 0; i < stride; i += 4) {
-        const __m256i key = _mm256_or_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(stamps + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(pad_mask + i)));
-        const __m256i kb = _mm256_xor_si256(key, bias);
-        const int mask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(kb, target)));
-        if (mask != 0)
-            return i + static_cast<std::uint64_t>(std::countr_zero(
-                           static_cast<unsigned>(mask)));
-    }
-    return 0; // unreachable: some lane equals the minimum
-}
-
-/** Signed 64-bit lane minimum. */
-__attribute__((target("avx2"))) inline __m256i
-smin64(__m256i a, __m256i b)
-{
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("avx2"))) inline Row8
-rowAccess8(const std::uint64_t *addrs, const std::uint64_t *stamps,
-           const std::uint64_t *pad_mask, std::uint64_t addr)
-{
-    const __m256i target =
-        _mm256_set1_epi64x(static_cast<long long>(addr));
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i a0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(addrs));
-    const __m256i a1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(addrs + 4));
-    const __m256i s0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(stamps));
-    const __m256i s1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(stamps + 4));
-    // Probe both vectors, one movemask bit per lane.
-    const unsigned m =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-            _mm256_andnot_si256(_mm256_cmpeq_epi64(s0, zero),
-                                _mm256_cmpeq_epi64(a0, target))))) |
-        (static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-             _mm256_andnot_si256(_mm256_cmpeq_epi64(s1, zero),
-                                 _mm256_cmpeq_epi64(a1, target)))))
-         << 4);
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    if (m != 0) {
-        const auto hit =
-            static_cast<std::uint64_t>(std::countr_zero(m));
-        // Rank count as a popcount of compare-mask bits — no lane
-        // store + horizontal add.
-        const __m256i t = _mm256_set1_epi64x(static_cast<long long>(
-            stamps[hit] ^ 0x8000000000000000ull));
-        const unsigned g =
-            static_cast<unsigned>(
-                _mm256_movemask_pd(_mm256_castsi256_pd(
-                    _mm256_cmpgt_epi64(_mm256_xor_si256(s0, bias),
-                                       t)))) |
-            (static_cast<unsigned>(
-                 _mm256_movemask_pd(_mm256_castsi256_pd(
-                     _mm256_cmpgt_epi64(_mm256_xor_si256(s1, bias),
-                                        t))))
-             << 4);
-        return {hit, static_cast<std::uint64_t>(std::popcount(g))};
-    }
-    // Victim: in-register signed-min reduction over the biased keys,
-    // then the lowest lane equal to the minimum.
-    const __m256i k0 = _mm256_xor_si256(
-        _mm256_or_si256(s0, _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i *>(
-                                    pad_mask))),
-        bias);
-    const __m256i k1 = _mm256_xor_si256(
-        _mm256_or_si256(s1, _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i *>(
-                                    pad_mask + 4))),
-        bias);
-    __m256i mn = smin64(k0, k1);
-    mn = smin64(mn, _mm256_permute4x64_epi64(mn,
-                                             _MM_SHUFFLE(1, 0, 3, 2)));
-    mn = smin64(mn, _mm256_permute4x64_epi64(mn,
-                                             _MM_SHUFFLE(2, 3, 0, 1)));
-    const unsigned e =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-            _mm256_cmpeq_epi64(k0, mn)))) |
-        (static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(
-             _mm256_cmpeq_epi64(k1, mn))))
-         << 4);
-    return {8, static_cast<std::uint64_t>(std::countr_zero(e))};
-}
-
 __attribute__((target("avx2"))) inline Ordered8
 orderedAccess8(std::uint32_t *row, std::uint32_t addr,
                std::uint32_t ways, bool write)
@@ -573,260 +331,9 @@ orderedAccess8(std::uint32_t *row, std::uint32_t addr,
     return {d, window};
 }
 
-// AVX2 has no vector popcount; the nibble-LUT shuffle (two table
-// lookups per byte, summed across each 64-bit half by SAD) counts 256
-// bits per iteration.
-__attribute__((target("avx2"))) inline std::uint64_t
-popcountRange(const std::uint64_t *words, std::size_t n)
-{
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1,
-        2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i acc = zero;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(words + i));
-        const __m256i lo = _mm256_and_si256(v, low);
-        const __m256i hi =
-            _mm256_and_si256(_mm256_srli_epi32(v, 4), low);
-        const __m256i cnt =
-            _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                            _mm256_shuffle_epi8(lut, hi));
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, zero));
-    }
-    std::uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += static_cast<std::uint64_t>(std::popcount(words[i]));
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t
-sumRange16(const std::uint16_t *values, std::size_t n)
-{
-    // madd against 1s pairs the signed 16-bit lanes into 32-bit
-    // sums; inputs stay below 2^15 (header contract) so the signed
-    // multiply is exact.
-    const __m256i ones = _mm256_set1_epi16(1);
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(v, ones));
-    }
-    std::uint32_t lanes[8];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t sum = 0;
-    for (int l = 0; l < 8; ++l)
-        sum += lanes[l];
-    for (; i < n; ++i)
-        sum += values[i];
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t
-sumRange32(const std::uint32_t *values, std::size_t n)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i acc = zero;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        acc = _mm256_add_epi64(acc,
-                               _mm256_add_epi64(
-                                   _mm256_unpacklo_epi32(v, zero),
-                                   _mm256_unpackhi_epi32(v, zero)));
-    }
-    std::uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += values[i];
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t
-sumRange64(const std::uint64_t *values, std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        acc = _mm256_add_epi64(
-            acc, _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i *>(values + i)));
-    std::uint64_t lanes[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += values[i];
-    return sum;
-}
-
 } // namespace avx2
 
 namespace sse2 {
-
-/** 64-bit lane equality from 32-bit compares (no SSE4.1). */
-inline __m128i
-eq64(__m128i a, __m128i b)
-{
-    const __m128i e = _mm_cmpeq_epi32(a, b);
-    return _mm_and_si128(e,
-                         _mm_shuffle_epi32(e, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-/**
- * Unsigned 64-bit a > b as a full-lane mask. Hacker's Delight
- * borrow predicate: sign of (~b & a) | ((~b | a) & (b - a)) is
- * [b < a]; the sign bit is then smeared across the lane.
- */
-inline __m128i
-gtu64(__m128i a, __m128i b)
-{
-    const __m128i ones = _mm_set1_epi32(-1);
-    __m128i s = _mm_or_si128(
-        _mm_andnot_si128(b, a),
-        _mm_and_si128(_mm_or_si128(_mm_xor_si128(b, ones), a),
-                      _mm_sub_epi64(b, a)));
-    s = _mm_shuffle_epi32(s, _MM_SHUFFLE(3, 3, 1, 1));
-    return _mm_srai_epi32(s, 31);
-}
-
-inline std::uint64_t
-findResident(const std::uint64_t *addrs, const std::uint64_t *stamps,
-             std::uint64_t stride, std::uint64_t addr)
-{
-    const __m128i target =
-        _mm_set1_epi64x(static_cast<long long>(addr));
-    const __m128i zero = _mm_setzero_si128();
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(addrs + i));
-        const __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(stamps + i));
-        const __m128i hit =
-            _mm_andnot_si128(eq64(s, zero), eq64(a, target));
-        const int mask = _mm_movemask_pd(_mm_castsi128_pd(hit));
-        if (mask != 0)
-            return i + static_cast<std::uint64_t>(std::countr_zero(
-                           static_cast<unsigned>(mask)));
-    }
-    return stride;
-}
-
-inline std::uint64_t
-countGreater(const std::uint64_t *stamps, std::uint64_t stride,
-             std::uint64_t threshold)
-{
-    const __m128i t =
-        _mm_set1_epi64x(static_cast<long long>(threshold));
-    __m128i acc = _mm_setzero_si128();
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(stamps + i));
-        acc = _mm_sub_epi64(acc, gtu64(s, t));
-    }
-    std::uint64_t lanes[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(lanes), acc);
-    return lanes[0] + lanes[1];
-}
-
-inline std::uint64_t
-minIndex(const std::uint64_t *stamps, const std::uint64_t *pad_mask,
-         std::uint64_t stride)
-{
-    __m128i best = _mm_set1_epi32(-1); // ~0 per u64 lane
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const __m128i key = _mm_or_si128(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(stamps + i)),
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(pad_mask + i)));
-        const __m128i gt = gtu64(best, key);
-        best = _mm_or_si128(_mm_and_si128(gt, key),
-                            _mm_andnot_si128(gt, best));
-    }
-    std::uint64_t lanes[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(lanes), best);
-    const std::uint64_t min_v =
-        lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-    const __m128i target =
-        _mm_set1_epi64x(static_cast<long long>(min_v));
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const __m128i key = _mm_or_si128(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(stamps + i)),
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(pad_mask + i)));
-        const int mask =
-            _mm_movemask_pd(_mm_castsi128_pd(eq64(key, target)));
-        if (mask != 0)
-            return i + static_cast<std::uint64_t>(std::countr_zero(
-                           static_cast<unsigned>(mask)));
-    }
-    return 0; // unreachable: some lane equals the minimum
-}
-
-/** Unsigned 64-bit lane minimum. */
-inline __m128i
-umin64(__m128i a, __m128i b)
-{
-    const __m128i gt = gtu64(a, b);
-    return _mm_or_si128(_mm_and_si128(gt, b),
-                        _mm_andnot_si128(gt, a));
-}
-
-inline Row8
-rowAccess8(const std::uint64_t *addrs, const std::uint64_t *stamps,
-           const std::uint64_t *pad_mask, std::uint64_t addr)
-{
-    const __m128i target =
-        _mm_set1_epi64x(static_cast<long long>(addr));
-    const __m128i zero = _mm_setzero_si128();
-    __m128i s[4];
-    unsigned m = 0;
-    for (int v = 0; v < 4; ++v) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(addrs + 2 * v));
-        s[v] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(stamps + 2 * v));
-        m |= static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(
-                 _mm_andnot_si128(eq64(s[v], zero), eq64(a, target)))))
-             << (2 * v);
-    }
-    if (m != 0) {
-        const auto hit =
-            static_cast<std::uint64_t>(std::countr_zero(m));
-        const __m128i t =
-            _mm_set1_epi64x(static_cast<long long>(stamps[hit]));
-        unsigned g = 0;
-        for (int v = 0; v < 4; ++v)
-            g |= static_cast<unsigned>(_mm_movemask_pd(
-                     _mm_castsi128_pd(gtu64(s[v], t))))
-                 << (2 * v);
-        return {hit, static_cast<std::uint64_t>(std::popcount(g))};
-    }
-    __m128i k[4];
-    for (int v = 0; v < 4; ++v)
-        k[v] = _mm_or_si128(
-            s[v], _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                      pad_mask + 2 * v)));
-    __m128i mn = umin64(umin64(k[0], k[1]), umin64(k[2], k[3]));
-    mn = umin64(mn,
-                _mm_shuffle_epi32(mn, _MM_SHUFFLE(1, 0, 3, 2)));
-    unsigned e = 0;
-    for (int v = 0; v < 4; ++v)
-        e |= static_cast<unsigned>(
-                 _mm_movemask_pd(_mm_castsi128_pd(eq64(k[v], mn))))
-             << (2 * v);
-    return {8, static_cast<std::uint64_t>(std::countr_zero(e))};
-}
 
 inline Ordered8
 orderedAccess8(std::uint32_t *row, std::uint32_t addr,
@@ -884,7 +391,9 @@ popcountRange(const std::uint64_t *words, std::size_t n)
 inline std::uint64_t
 sumRange16(const std::uint16_t *values, std::size_t n)
 {
-    // See the avx2 variant: inputs below 2^15 make signed madd exact.
+    // madd against 1s pairs the signed 16-bit lanes into 32-bit
+    // sums; inputs stay below 2^15 (header contract) so the signed
+    // multiply is exact.
     const __m128i ones = _mm_set1_epi16(1);
     __m128i acc = _mm_setzero_si128();
     std::size_t i = 0;
@@ -946,73 +455,6 @@ sumRange64(const std::uint64_t *values, std::size_t n)
 #elif defined(KB_SIMD_NEON)
 
 namespace neon {
-
-inline std::uint64_t
-findResident(const std::uint64_t *addrs, const std::uint64_t *stamps,
-             std::uint64_t stride, std::uint64_t addr)
-{
-    const uint64x2_t target = vdupq_n_u64(addr);
-    const uint64x2_t zero = vdupq_n_u64(0);
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const uint64x2_t a = vld1q_u64(addrs + i);
-        const uint64x2_t s = vld1q_u64(stamps + i);
-        const uint64x2_t hit =
-            vbicq_u64(vceqq_u64(a, target), vceqq_u64(s, zero));
-        if (vgetq_lane_u64(hit, 0) != 0)
-            return i;
-        if (vgetq_lane_u64(hit, 1) != 0)
-            return i + 1;
-    }
-    return stride;
-}
-
-inline std::uint64_t
-countGreater(const std::uint64_t *stamps, std::uint64_t stride,
-             std::uint64_t threshold)
-{
-    const uint64x2_t t = vdupq_n_u64(threshold);
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const uint64x2_t s = vld1q_u64(stamps + i);
-        acc = vsubq_u64(acc, vcgtq_u64(s, t));
-    }
-    return vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-}
-
-inline std::uint64_t
-minIndex(const std::uint64_t *stamps, const std::uint64_t *pad_mask,
-         std::uint64_t stride)
-{
-    uint64x2_t best = vdupq_n_u64(~0ull);
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const uint64x2_t key =
-            vorrq_u64(vld1q_u64(stamps + i), vld1q_u64(pad_mask + i));
-        best = vbslq_u64(vcgtq_u64(best, key), key, best);
-    }
-    const std::uint64_t l0 = vgetq_lane_u64(best, 0);
-    const std::uint64_t l1 = vgetq_lane_u64(best, 1);
-    const uint64x2_t target = vdupq_n_u64(l0 < l1 ? l0 : l1);
-    for (std::uint64_t i = 0; i < stride; i += 2) {
-        const uint64x2_t key =
-            vorrq_u64(vld1q_u64(stamps + i), vld1q_u64(pad_mask + i));
-        const uint64x2_t eq = vceqq_u64(key, target);
-        if (vgetq_lane_u64(eq, 0) != 0)
-            return i;
-        if (vgetq_lane_u64(eq, 1) != 0)
-            return i + 1;
-    }
-    return 0; // unreachable: some lane equals the minimum
-}
-
-inline Row8
-rowAccess8(const std::uint64_t *addrs, const std::uint64_t *stamps,
-           const std::uint64_t *pad_mask, std::uint64_t addr)
-{
-    const std::uint64_t hit = findResident(addrs, stamps, 8, addr);
-    if (hit != 8)
-        return {hit, countGreater(stamps, 8, stamps[hit])};
-    return {8, minIndex(stamps, pad_mask, 8)};
-}
 
 inline Ordered8
 orderedAccess8(std::uint32_t *row, std::uint32_t addr,

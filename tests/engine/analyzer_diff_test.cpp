@@ -533,10 +533,11 @@ TEST(MultiSetSimdDiff, MatchesScalarOnAdversarialShapes)
         streams.push_back({"u32_range_demotion", std::move(runs)});
     }
 
-    // Associativities off the vector width (1..3, 5, 7), a set count
-    // of 1 (every access in one row, maximum victim-tie pressure),
-    // and the full stride-8 shape.
-    const std::vector<std::uint64_t> ways_grid{1, 2, 3, 5, 7, 8};
+    // Compressed rows of every width class (1..3, 5, 7 leave lanes
+    // unused, 8 fills the line), rows wider than 8 ways that take the
+    // scalar run from a Simd analyzer (9, 16), and a set count of 1
+    // (every access in one row, maximum victim-tie pressure).
+    const std::vector<std::uint64_t> ways_grid{1, 2, 3, 5, 7, 8, 9, 16};
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
         for (const auto ways : ways_grid) {
