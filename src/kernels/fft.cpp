@@ -23,12 +23,15 @@ constexpr std::uint64_t kRefVerifyLimit = 1u << 21;
 /**
  * Shared context of one external-FFT execution: the scratchpad doing
  * capacity enforcement and cost accounting, plus optional trace and
- * decomposition observers.
+ * decomposition observers. With `numerics` off the walk bills and
+ * traces the same schedule but moves no values: the data pointers it
+ * passes around are null.
  */
 struct FftContext
 {
     Scratchpad &pad;
     std::uint64_t in_core; ///< P: max in-core transform size
+    bool numerics = false; ///< compute the transform's values
     TraceSink *sink = nullptr;
     FftDecomposition *dump = nullptr;
     std::uint64_t next_addr = 0; ///< bump allocator for trace addresses
@@ -48,6 +51,13 @@ struct FftContext
             sink->onRun(base, words, type);
     }
 };
+
+/** Pointer to @p v[off], or null when @p v is empty (no numerics). */
+cd *
+at(std::vector<cd> &v, std::uint64_t off)
+{
+    return v.empty() ? nullptr : v.data() + off;
+}
 
 /** In-place iterative radix-2 DIT FFT over a contiguous segment. */
 void
@@ -107,10 +117,11 @@ extTranspose(FftContext &ctx, const cd *src, std::uint64_t src_addr,
             for (std::uint64_t r = 0; r < tr; ++r)
                 ctx.traceRange(src_addr + (r0 + r) * cols + c0, tc,
                                AccessType::Read);
-            for (std::uint64_t r = 0; r < tr; ++r)
-                for (std::uint64_t c = 0; c < tc; ++c)
-                    dst[(c0 + c) * rows + (r0 + r)] =
-                        src[(r0 + r) * cols + (c0 + c)];
+            if (ctx.numerics)
+                for (std::uint64_t r = 0; r < tr; ++r)
+                    for (std::uint64_t c = 0; c < tc; ++c)
+                        dst[(c0 + c) * rows + (r0 + r)] =
+                            src[(r0 + r) * cols + (c0 + c)];
             tile.store();
             for (std::uint64_t c = 0; c < tc; ++c)
                 ctx.traceRange(dst_addr + (c0 + c) * rows + r0, tr,
@@ -138,12 +149,14 @@ extTwiddle(FftContext &ctx, cd *x, std::uint64_t addr, std::uint64_t n1,
         ScopedBuffer buf(ctx.pad, len, "twiddle chunk");
         buf.load();
         ctx.traceRange(addr + off, len, AccessType::Read);
-        for (std::uint64_t i = 0; i < len; ++i) {
-            const std::uint64_t j2 = (off + i) / n1;
-            const std::uint64_t k1 = (off + i) % n1;
-            const double ang =
-                base_ang * static_cast<double>(j2 * k1 % n);
-            x[off + i] *= cd(std::cos(ang), std::sin(ang));
+        if (ctx.numerics) {
+            for (std::uint64_t i = 0; i < len; ++i) {
+                const std::uint64_t j2 = (off + i) / n1;
+                const std::uint64_t k1 = (off + i) % n1;
+                const double ang =
+                    base_ang * static_cast<double>(j2 * k1 % n);
+                x[off + i] *= cd(std::cos(ang), std::sin(ang));
+            }
         }
         ctx.pad.compute(6 * len);
         buf.store();
@@ -166,7 +179,8 @@ extFft(FftContext &ctx, cd *x, std::uint64_t addr, std::uint64_t n,
         ScopedBuffer buf(ctx.pad, n, "in-core FFT block");
         buf.load();
         ctx.traceRange(addr, n, AccessType::Read);
-        inCoreFft(x, n);
+        if (ctx.numerics)
+            inCoreFft(x, n);
         ctx.pad.compute(inCoreFftOps(n));
         buf.store();
         ctx.traceRange(addr, n, AccessType::Write);
@@ -186,30 +200,30 @@ extFft(FftContext &ctx, cd *x, std::uint64_t addr, std::uint64_t n,
 
     // External scratch arrays (outside the PE; unbounded like the
     // host memory the external array itself lives in).
-    std::vector<cd> y(n), z(n);
+    std::vector<cd> y(ctx.numerics ? n : 0), z(ctx.numerics ? n : 0);
     const std::uint64_t y_addr = ctx.allocAddrs(n);
     const std::uint64_t z_addr = ctx.allocAddrs(n);
 
     // 1. y[j2][j1] = x[j1][j2]  (x viewed as n1 x n2 row-major).
-    extTranspose(ctx, x, addr, y.data(), y_addr, n1, n2);
+    extTranspose(ctx, x, addr, at(y, 0), y_addr, n1, n2);
 
     // 2. Column DFTs: each y row (length n1) transformed in place.
     for (std::uint64_t j2 = 0; j2 < n2; ++j2)
-        extFft(ctx, y.data() + j2 * n1, y_addr + j2 * n1, n1, level + 1);
+        extFft(ctx, at(y, j2 * n1), y_addr + j2 * n1, n1, level + 1);
 
     // 3. Twiddle scale y[j2][k1] *= w_n^{j2 k1}.
-    extTwiddle(ctx, y.data(), y_addr, n1, n);
+    extTwiddle(ctx, at(y, 0), y_addr, n1, n);
 
     // 4. z[k1][j2] = y[j2][k1].
-    extTranspose(ctx, y.data(), y_addr, z.data(), z_addr, n2, n1);
+    extTranspose(ctx, at(y, 0), y_addr, at(z, 0), z_addr, n2, n1);
 
     // 5. Row DFTs: each z row (length n2) in place; z[k1][k2] is then
     //    X at output index k2 * n1 + k1.
     for (std::uint64_t k1 = 0; k1 < n1; ++k1)
-        extFft(ctx, z.data() + k1 * n2, z_addr + k1 * n2, n2, level + 1);
+        extFft(ctx, at(z, k1 * n2), z_addr + k1 * n2, n2, level + 1);
 
     // 6. Final shuffle into natural order: x[k2][k1] = z[k1][k2].
-    extTranspose(ctx, z.data(), z_addr, x, addr, n1, n2);
+    extTranspose(ctx, at(z, 0), z_addr, x, addr, n1, n2);
 }
 
 } // namespace
@@ -297,20 +311,26 @@ FftKernel::measure(std::uint64_t n, std::uint64_t m, bool verify) const
     KB_REQUIRE(isPow2(n), "FFT size must be a power of two");
     KB_REQUIRE(m >= minMemory(n), "FFT needs m >= 4");
 
-    auto x = fftInput(n, 0xF);
-    const auto input = x;
+    // The values are computed only when they will be checked; the
+    // scratchpad bills the same schedule either way.
+    const bool check = verify && n <= kRefVerifyLimit;
+    std::vector<cd> x, input;
+    if (check) {
+        x = fftInput(n, 0xF);
+        input = x;
+    }
 
     Scratchpad pad(m);
-    FftContext ctx{pad, inCorePoints(m)};
+    FftContext ctx{pad, inCorePoints(m), check};
     ctx.next_addr = n;
-    extFft(ctx, x.data(), 0, n, 0);
+    extFft(ctx, at(x, 0), 0, n, 0);
 
     MeasuredCost out;
     out.cost.comp_ops = static_cast<double>(pad.stats().comp_ops);
     out.cost.io_words = static_cast<double>(pad.stats().ioWords());
     out.peak_memory = pad.stats().peak_usage;
 
-    if (verify && n <= kRefVerifyLimit) {
+    if (check) {
         std::vector<cd> ref;
         if (n <= kNaiveVerifyLimit) {
             ref = dftReference(input);
@@ -335,11 +355,10 @@ FftKernel::emitTrace(std::uint64_t n, std::uint64_t m,
     KB_REQUIRE(isPow2(n), "FFT size must be a power of two");
     KB_REQUIRE(m >= minMemory(n), "FFT needs m >= 4");
 
-    auto x = fftInput(n, 0xF);
     Scratchpad pad(m);
-    FftContext ctx{pad, inCorePoints(m), &sink};
+    FftContext ctx{pad, inCorePoints(m), false, &sink};
     ctx.next_addr = n;
-    extFft(ctx, x.data(), 0, n, 0);
+    extFft(ctx, nullptr, 0, n, 0);
 }
 
 FftDecomposition
@@ -348,14 +367,13 @@ FftKernel::decompose(std::uint64_t n, std::uint64_t m) const
     KB_REQUIRE(isPow2(n), "FFT size must be a power of two");
     KB_REQUIRE(m >= minMemory(n), "FFT needs m >= 4");
 
-    auto x = fftInput(n, 0xF);
     Scratchpad pad(m);
     FftDecomposition dump;
     dump.n = n;
     dump.memory = m;
-    FftContext ctx{pad, inCorePoints(m), nullptr, &dump};
+    FftContext ctx{pad, inCorePoints(m), false, nullptr, &dump};
     ctx.next_addr = n;
-    extFft(ctx, x.data(), 0, n, 0);
+    extFft(ctx, nullptr, 0, n, 0);
     return dump;
 }
 

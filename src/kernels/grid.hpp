@@ -91,10 +91,12 @@ class GridKernel : public Kernel
     /**
      * The paper's own Section 3.3 accounting: the PE permanently
      * stores an s^d subgrid (s = residentEdge(m)) and per iteration
-     * exchanges only the halo with the outside world. Runs the real
-     * arithmetic for a block of the @p n^d grid across iterations()
-     * sweeps, with halo values supplied externally, and verifies the
-     * block against the global reference sweep.
+     * exchanges only the halo with the outside world. With @p verify
+     * it runs the real arithmetic for a block of the @p n^d grid
+     * across iterations() sweeps, with halo values supplied
+     * externally, and checks the block against the global reference
+     * sweep; without it, it bills the same schedule and computes no
+     * values.
      *
      * R(M) is exactly Theta(s) = Theta(M^(1/d)) with no temporal
      * blocking redundancy — this is what the E4 law bench measures.

@@ -5,9 +5,10 @@
  * Every kernel provides three views of the same decomposition scheme:
  *
  *  1. analytic leading-order costs (the paper's formulas);
- *  2. an executable schedule that really computes the answer inside an
- *     explicitly managed scratchpad of M words, counting every word
- *     crossing the PE boundary and every arithmetic operation;
+ *  2. an executable schedule run inside an explicitly managed
+ *     scratchpad of M words, counting every word crossing the PE
+ *     boundary and every arithmetic operation (and computing the
+ *     answer whenever it is checked);
  *  3. a word-level memory trace of that schedule, replayable through
  *     any cache model.
  *
@@ -84,16 +85,22 @@ class Kernel
                                        std::uint64_t m) const = 0;
 
     /**
-     * Execute the real computation with problem size @p n inside a
-     * scratchpad of @p m words, counting operations and I/O words.
+     * Walk the schedule with problem size @p n inside a scratchpad of
+     * @p m words, counting operations and I/O words.
      *
      * @param n      problem size (kernel-specific meaning; see the
      *               concrete class)
      * @param m      local memory size in words; >= minMemory(n)
      * @param verify check the numeric result against a reference
-     *               implementation (skipped automatically above a
-     *               size threshold where the reference would dominate
-     *               the run time; `verified` reports what happened)
+     *               implementation (skipped above a size threshold
+     *               where the reference would dominate the run time;
+     *               `verified` reports what happened). Numerics run
+     *               only when they will be checked: without a check,
+     *               the walker bills the schedule only. The exceptions
+     *               compute values in both modes: kernels whose
+     *               schedule reads data (sorting, spmv, qr) and those
+     *               whose arithmetic costs too little to skip. The
+     *               counts are identical in both modes.
      */
     virtual MeasuredCost measure(std::uint64_t n, std::uint64_t m,
                                  bool verify = true) const = 0;

@@ -95,9 +95,15 @@ MatmulKernel::measure(std::uint64_t n, std::uint64_t m, bool verify) const
     KB_REQUIRE(m >= minMemory(n), "matmul needs m >= 3");
 
     const std::uint64_t b = tileSize(m);
-    const auto a = matmulInput(n, 0xA);
-    const auto bm = matmulInput(n, 0xB);
-    std::vector<double> c(n * n, 0.0);
+    // The values are computed only when they will be checked; the
+    // scratchpad bills the same schedule either way.
+    const bool check = verify && n <= kVerifyLimit;
+    std::vector<double> a, bm, c;
+    if (check) {
+        a = matmulInput(n, 0xA);
+        bm = matmulInput(n, 0xB);
+        c.assign(n * n, 0.0);
+    }
 
     Scratchpad pad(m);
 
@@ -109,23 +115,27 @@ MatmulKernel::measure(std::uint64_t n, std::uint64_t m, bool verify) const
             ScopedBuffer c_tile(pad, ti * tj, "C tile");
             ScopedBuffer a_strip(pad, ti, "A strip");
             ScopedBuffer b_strip(pad, tj, "B strip");
-            std::vector<double> acc(ti * tj, 0.0);
+            std::vector<double> acc(check ? ti * tj : 0, 0.0);
 
             for (std::uint64_t k = 0; k < n; ++k) {
                 a_strip.load(ti);
                 b_strip.load(tj);
-                for (std::uint64_t i = 0; i < ti; ++i) {
-                    const double aik = a[(i0 + i) * n + k];
-                    for (std::uint64_t j = 0; j < tj; ++j)
-                        acc[i * tj + j] += aik * bm[k * n + (j0 + j)];
+                if (check) {
+                    for (std::uint64_t i = 0; i < ti; ++i) {
+                        const double aik = a[(i0 + i) * n + k];
+                        for (std::uint64_t j = 0; j < tj; ++j)
+                            acc[i * tj + j] +=
+                                aik * bm[k * n + (j0 + j)];
+                    }
                 }
                 pad.compute(2 * ti * tj);
             }
 
             c_tile.store(ti * tj);
-            for (std::uint64_t i = 0; i < ti; ++i)
-                for (std::uint64_t j = 0; j < tj; ++j)
-                    c[(i0 + i) * n + (j0 + j)] = acc[i * tj + j];
+            if (check)
+                for (std::uint64_t i = 0; i < ti; ++i)
+                    for (std::uint64_t j = 0; j < tj; ++j)
+                        c[(i0 + i) * n + (j0 + j)] = acc[i * tj + j];
         }
     }
 
@@ -134,7 +144,7 @@ MatmulKernel::measure(std::uint64_t n, std::uint64_t m, bool verify) const
     out.cost.io_words = static_cast<double>(pad.stats().ioWords());
     out.peak_memory = pad.stats().peak_usage;
 
-    if (verify && n <= kVerifyLimit) {
+    if (check) {
         const auto ref = matmulReference(a, bm, n);
         double max_err = 0.0;
         for (std::uint64_t i = 0; i < n * n; ++i)

@@ -28,18 +28,21 @@ simulateArray(const ArrayMachine &machine,
             machine.host_words_per_cycle;
         const double comp_time = step.ops_per_pe / machine.ops_per_cycle;
 
-        // Input (and the previous step's output) occupy the channel.
-        const double io_done = channel_free + io_time;
-        channel_free = io_done;
-        result.io_cycles += io_time;
+        for (std::uint64_t r = 0; r < step.repeat; ++r) {
+            // Input (and the previous step's output) occupy the
+            // channel.
+            const double io_done = channel_free + io_time;
+            channel_free = io_done;
+            result.io_cycles += io_time;
 
-        // Compute starts once the words have propagated and the PEs
-        // have finished the previous step (double buffering: the
-        // transfer itself overlapped that compute).
-        const double start = std::max(io_done + latency, pe_free);
-        pe_free = start + comp_time;
-        result.compute_cycles += comp_time;
-        ++result.steps;
+            // Compute starts once the words have propagated and the
+            // PEs have finished the previous step (double buffering:
+            // the transfer itself overlapped that compute).
+            const double start = std::max(io_done + latency, pe_free);
+            pe_free = start + comp_time;
+            result.compute_cycles += comp_time;
+        }
+        result.steps += step.repeat;
     }
 
     result.cycles = std::max(channel_free, pe_free);

@@ -19,12 +19,13 @@
 
 namespace kb {
 
-/** One macro-step of an array dataflow. */
+/** One macro-step of an array dataflow, played @p repeat times. */
 struct StepWorkload
 {
     double input_words = 0.0;  ///< words entering via the boundary
     double output_words = 0.0; ///< words leaving via the boundary
     double ops_per_pe = 0.0;   ///< work each PE performs this step
+    std::uint64_t repeat = 1;  ///< consecutive identical copies
 };
 
 /** Machine parameters of the array. */
@@ -57,7 +58,9 @@ struct ArraySimResult
 /**
  * Play @p steps through the double-buffered pipeline: step k's input
  * transfer overlaps step k-1's compute; a step's compute starts only
- * after its words have crossed the pipeline.
+ * after its words have crossed the pipeline. A step with repeat r is
+ * played r times in a row, in the same floating-point order as r
+ * separate entries.
  */
 ArraySimResult simulateArray(const ArrayMachine &machine,
                              const std::vector<StepWorkload> &steps);

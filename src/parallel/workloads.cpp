@@ -55,13 +55,11 @@ matmulLinearWorkload(std::uint64_t n, std::uint64_t p,
     const std::uint64_t tiles = ceilDiv(n, b) * ceilDiv(n, b);
     const std::uint64_t cols = ceilDiv(b, p);
     for (std::uint64_t tile = 0; tile < tiles; ++tile) {
-        for (std::uint64_t k = 0; k < n; ++k) {
-            // a-strip (B) + b-strip (B) enter; each PE does a rank-1
-            // update of its slab.
-            wl.steps.push_back(StepWorkload{
-                static_cast<double>(2 * b), 0.0,
-                static_cast<double>(2 * b * cols)});
-        }
+        // n k-steps: a-strip (B) + b-strip (B) enter; each PE does a
+        // rank-1 update of its slab.
+        wl.steps.push_back(StepWorkload{
+            static_cast<double>(2 * b), 0.0,
+            static_cast<double>(2 * b * cols), n});
         // Drain the finished tile.
         wl.steps.push_back(
             StepWorkload{0.0, static_cast<double>(b * b), 0.0});
@@ -94,11 +92,9 @@ matmulMeshWorkload(std::uint64_t n, std::uint64_t p, std::uint64_t m_pe,
     const std::uint64_t tiles = ceilDiv(n, b) * ceilDiv(n, b);
     const std::uint64_t seg = ceilDiv(b, p);
     for (std::uint64_t tile = 0; tile < tiles; ++tile) {
-        for (std::uint64_t k = 0; k < n; ++k) {
-            wl.steps.push_back(StepWorkload{
-                static_cast<double>(2 * b), 0.0,
-                static_cast<double>(2 * seg * seg)});
-        }
+        wl.steps.push_back(StepWorkload{
+            static_cast<double>(2 * b), 0.0,
+            static_cast<double>(2 * seg * seg), n});
         wl.steps.push_back(
             StepWorkload{0.0, static_cast<double>(b * b), 0.0});
     }
@@ -134,8 +130,8 @@ grid3dMeshWorkload(std::uint64_t g, std::uint64_t t, std::uint64_t p,
     const std::uint64_t rounds = ceilDiv(t, tau);
 
     // All macro-steps are identical, so steady-state utilization does
-    // not depend on how many we play; cap the list so undersized
-    // memories (thousands of tiny blocks) stay simulable.
+    // not depend on how many we play; cap the count so undersized
+    // memories (thousands of tiny blocks) stay quick to simulate.
     constexpr std::uint64_t kMaxSteps = 20000;
     const std::uint64_t total = rounds * blocks;
     const std::uint64_t emit = std::min(total, kMaxSteps);
@@ -150,12 +146,9 @@ grid3dMeshWorkload(std::uint64_t g, std::uint64_t t, std::uint64_t p,
         block_ops += 9.0 * eff * eff * eff;
     }
 
-    for (std::uint64_t i = 0; i < emit; ++i) {
-        wl.steps.push_back(StepWorkload{
-            static_cast<double>(e * e * e),
-            static_cast<double>(s * s * s),
-            block_ops / static_cast<double>(p * p)});
-    }
+    wl.steps.push_back(StepWorkload{
+        static_cast<double>(e * e * e), static_cast<double>(s * s * s),
+        block_ops / static_cast<double>(p * p), emit});
     return wl;
 }
 
