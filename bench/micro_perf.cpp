@@ -5,6 +5,9 @@
  * infrastructure, not paper results.
  */
 
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "engine/curve_store.hpp"
@@ -13,6 +16,8 @@
 #include "kernels/matmul.hpp"
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
+#include "mem/random_cache.hpp"
+#include "mem/set_assoc.hpp"
 #include "kernels/registry.hpp"
 #include "pebble/builders.hpp"
 #include "pebble/heuristic.hpp"
@@ -421,6 +426,71 @@ BM_StreamingReplayMatmul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StreamingReplayMatmul);
+
+void
+BM_RandomReplay(benchmark::State &state)
+{
+    // Fully associative random replacement at E12's largest capacity
+    // on a buffered matmul trace tiled for half of it (E12's M/2
+    // row): Arg(0) = the one-set SetAssocCache(1, 2048, Random),
+    // which scans every way per access; Arg(1) = RandomCache, one
+    // hash lookup per access. Both replay the identical victims.
+    constexpr std::uint64_t kCapacity = 2048;
+    MatmulKernel k;
+    VectorSink buffer;
+    k.emitTrace(64, kCapacity / 2, buffer);
+    const auto &trace = buffer.trace();
+    for (auto _ : state) {
+        std::unique_ptr<LocalMemory> model;
+        if (state.range(0) == 0)
+            model = std::make_unique<SetAssocCache>(
+                1, kCapacity, ReplacementPolicy::Random, 7);
+        else
+            model = std::make_unique<RandomCache>(kCapacity, 7);
+        for (const auto &a : trace)
+            model->access(a);
+        model->flush();
+        benchmark::DoNotOptimize(model->stats().ioWords());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_RandomReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void
+BM_OptPerPoint(benchmark::State &state)
+{
+    // One iteration = the OPT column of E12's `tight` job: six
+    // per-point cells (matmul N = 160, schedule tiled for each
+    // capacity), each from a fresh emission. Arg(0) buffers the trace
+    // and runs simulateOpt; Arg(1) rides OptNextUseRecorder on the
+    // emission and walks a second emission over the one-capacity
+    // grid, the engine's per-point path.
+    const auto kernel = KernelRegistry::instance().shared("matmul");
+    const std::vector<std::uint64_t> grid = {64,  128,  256,
+                                             512, 1024, 2048};
+    const bool streamed = state.range(0) != 0;
+    for (auto _ : state) {
+        for (const std::uint64_t m : grid) {
+            const std::uint64_t n = kernel->regimeProblemSize(160, m);
+            std::uint64_t io = 0;
+            if (streamed) {
+                OptNextUseRecorder recorder;
+                kernel->emitTrace(n, m, recorder);
+                const auto emit_again = [&](TraceSink &sink) {
+                    kernel->emitTrace(n, m, sink);
+                };
+                io = recorder.finish(emit_again, {m}).ioWords(m);
+            } else {
+                VectorSink buffer;
+                kernel->emitTrace(n, m, buffer);
+                io = simulateOpt(buffer.trace(), m).stats.ioWords();
+            }
+            benchmark::DoNotOptimize(io);
+        }
+    }
+}
+BENCHMARK(BM_OptPerPoint)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /** LRU-only fixed-schedule sweep job shared by the A/B pair below. */
 SweepJob

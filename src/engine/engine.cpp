@@ -11,6 +11,7 @@
 #include "kernels/registry.hpp"
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
+#include "mem/random_cache.hpp"
 #include "mem/set_assoc.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
@@ -100,12 +101,12 @@ makeMemoryModel(MemoryModelKind kind, std::uint64_t m)
         return std::make_unique<SetAssocCache>(sets, 8,
                                                ReplacementPolicy::FIFO);
       case MemoryModelKind::RandomRepl:
-        return std::make_unique<SetAssocCache>(
-            1, m, ReplacementPolicy::Random, kRandomSeed);
+        return std::make_unique<RandomCache>(m, kRandomSeed);
       case MemoryModelKind::Opt:
         break;
     }
-    fatal("OPT has no streaming model; the engine buffers it per point");
+    fatal("OPT has no streaming model; the engine runs it through "
+          "OptNextUseRecorder");
 }
 
 std::vector<double>
@@ -307,33 +308,41 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
     }
 
     // One emitTrace() pass feeds every model whose result is missing
-    // through a streaming ReplaySink; a trace buffer exists only if
-    // an uncached OPT column asked for the future. With every result
+    // through a streaming ReplaySink, and an uncached OPT column's
+    // next-use recorder rides the same emission. With every result
     // cached the trace is not emitted at all.
     std::vector<std::unique_ptr<LocalMemory>> streaming;
     std::vector<LocalMemory *> streaming_ptrs;
-    bool wants_opt = false;
+    std::optional<OptNextUseRecorder> opt_recorder;
     if (!all_cached) {
         for (std::size_t i = 0; i < job.models.size(); ++i) {
             if (cached[i])
                 continue;
             if (job.models[i] == MemoryModelKind::Opt) {
-                wants_opt = true;
+                opt_recorder.emplace();
                 continue;
             }
             streaming.push_back(makeMemoryModel(job.models[i], m));
             streaming_ptrs.push_back(streaming.back().get());
         }
-    }
-
-    VectorSink buffer;
-    if (!all_cached) {
         std::vector<TraceSink *> branches;
-        if (wants_opt)
-            branches.push_back(&buffer);
+        if (opt_recorder)
+            branches.push_back(&*opt_recorder);
         emitThroughBranches(kernel, n_trace, trace_m, streaming_ptrs,
                             std::move(branches));
     }
+
+    // OPT pass 2 over a one-capacity grid: a second emission (counted,
+    // like the fast path's) feeds the Belady walk, so no trace buffer
+    // exists.
+    std::optional<OptCurve> opt_curve;
+    if (opt_recorder)
+        opt_curve = opt_recorder->finish(
+            [&](TraceSink &sink) {
+                g_emissions.fetch_add(1, std::memory_order_relaxed);
+                kernel.emitTrace(n_trace, trace_m, sink);
+            },
+            {m});
 
     slot.model_io.reserve(job.models.size());
     std::size_t next_streaming = 0;
@@ -342,7 +351,7 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
         if (cached[i]) {
             io = *cached[i];
         } else if (job.models[i] == MemoryModelKind::Opt) {
-            io = simulateOpt(buffer.trace(), m).stats.ioWords();
+            io = opt_curve->ioWords(m);
         } else {
             io = streaming[next_streaming++]->stats().ioWords();
         }

@@ -20,9 +20,10 @@
  * AnalysisPipeline when several consumers share the emission) into
  * every demand-fill model in a single pass with no intermediate
  * vector.
- * Only Belady OPT, which needs the future, ever holds the trace — the
- * per-point replay path buffers it when a job requests an OPT column,
- * while the fast path streams OPT in two passes with no buffer (see
+ * Belady OPT, which needs the future, never holds the trace either:
+ * its OptNextUseRecorder rides the same emission, and a second
+ * emission feeds the Belady walk — over the one point's capacity on
+ * the per-point path, over the whole grid on the fast path (see
  * below).
  *
  * Stack-distance fast path: a job with a fixed schedule (schedule_m
@@ -46,7 +47,9 @@
  *    cold instead of a trace-sized allocation.
  *
  * Models without the inclusion property (set-associative FIFO,
- * random replacement) are replayed from the same single emission.
+ * random replacement) are replayed from the same single emission,
+ * each at O(1) per access (random replacement is a RandomCache, not
+ * a one-set cache scanning M ways).
  * The results are bit-identical to the direct per-point replay
  * (force_replay = true), which the equivalence tests assert.
  *
@@ -94,8 +97,8 @@ enum class MemoryModelKind
     SetAssocLru,  ///< 8-way set-associative, LRU per set
     SetAssocFifo, ///< 8-way set-associative, FIFO per set
     RandomRepl,   ///< fully associative, seeded random replacement
-    Opt,          ///< Belady OPT (clairvoyant; fast path streams it
-                  ///< in two passes, per-point replay buffers)
+    Opt,          ///< Belady OPT (clairvoyant; streamed in two
+                  ///< passes on both paths, never buffered)
 };
 
 /** Short name for reports ("lru", "opt", ...). */

@@ -569,7 +569,11 @@ void
 OptNextUseRecorder::loadChunk(std::size_t chunk,
                               std::vector<std::uint64_t> &next_use)
 {
-    next_use.assign(static_cast<std::size_t>(opts_.chunk_positions),
+    // Sized to the positions the chunk really holds: a trace (or a
+    // last chunk) shorter than chunk_positions gets a short array.
+    const std::uint64_t base = chunk * opts_.chunk_positions;
+    next_use.assign(static_cast<std::size_t>(std::min(
+                        opts_.chunk_positions, pos_ - base)),
                     kNever);
     ++chunks_loaded_;
     // Each position was recorded at most once across disk and memory
@@ -676,6 +680,12 @@ class OptChunkCursor : public TraceSink
     feed(const Access &access)
     {
         if (pos_ == chunk_end_) {
+            // Chunk arrays end at the recorded length, so a longer
+            // re-emission must stop here, not index past the last one.
+            KB_REQUIRE(pos_ < recorder_.pos_,
+                       "second emission did not replay the recorded "
+                       "trace: more than ",
+                       recorder_.pos_, " positions");
             const std::uint64_t cp = recorder_.opts_.chunk_positions;
             const std::uint64_t chunk = pos_ / cp;
             drain();
@@ -687,7 +697,7 @@ class OptChunkCursor : public TraceSink
                                     next_use_);
             }
             chunk_base_ = chunk * cp;
-            chunk_end_ = chunk_base_ + cp;
+            chunk_end_ = std::min(chunk_base_ + cp, recorder_.pos_);
             if (recorder_.opts_.prefetch &&
                 chunk + 1 < total_chunks_) {
                 standby_chunk_ = chunk + 1;
@@ -754,12 +764,13 @@ OptNextUseRecorder::finish(
         stats->peak_pending_bytes = peak_pending_bytes_;
         // Double buffering holds two chunk arrays only while a
         // prefetch is in flight; a single-chunk trace (or prefetch
-        // off) never allocates the standby buffer.
+        // off) never allocates the standby buffer. No chunk array is
+        // longer than the trace.
         const std::uint64_t chunk_buffers =
             chunks_prefetched_ > 0 ? 2 : 1;
         stats->peak_resident_bytes =
             peak_pending_bytes_ +
-            chunk_buffers * opts_.chunk_positions *
+            chunk_buffers * std::min(opts_.chunk_positions, pos_) *
                 sizeof(std::uint64_t);
     }
     return stack.curve(pos_);

@@ -52,6 +52,11 @@ struct OptResult
 /**
  * Simulate Belady OPT over @p trace with the given capacity (words).
  *
+ * The test oracle for every OPT path: the engine does not call it
+ * (its per-point and fast-path OPT columns both run
+ * OptNextUseRecorder); the equivalence tests compare the streamed
+ * results against it, and perfbench's traced replica still times it.
+ *
  * Write-back semantics match LruCache: misses fill one word, dirty
  * evictions write back one word; a final flush writes back all dirty
  * residents.

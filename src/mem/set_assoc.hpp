@@ -28,6 +28,8 @@ const char *replacementPolicyName(ReplacementPolicy policy);
  * Set-associative, word-granular, write-back memory.
  *
  * Capacity = sets * ways words. Addresses map to sets by modulo.
+ * The one-set Random configuration is the differential oracle for
+ * RandomCache, which the engine replays in its place.
  */
 class SetAssocCache : public LocalMemory
 {

@@ -660,6 +660,48 @@ TEST(StreamingOptDiff, PeakResidentMemoryIndependentOfTraceLength)
                   options.chunk_positions * 8);
 }
 
+/** A trace shorter than one chunk materializes a trace-sized array,
+ *  not a full chunk: the engine's per-point OPT cells run the
+ *  recorder on traces far below the default 4Mi-position chunk. */
+TEST(StreamingOptDiff, ChunkArraySizedToShortTrace)
+{
+    OptStreamOptions options; // default chunk_positions
+    std::vector<Access> trace;
+    for (std::uint64_t lap = 0; lap < 5; ++lap)
+        for (std::uint64_t a = 0; a < 40; ++a)
+            trace.push_back(a % 5 == 0 ? writeOf(a) : readOf(a));
+
+    OptStreamStats stats;
+    expectOptStreamingMatchesBuffered(trace, {3, 16, 64}, options,
+                                      &stats);
+    EXPECT_EQ(stats.positions, trace.size());
+    EXPECT_LT(stats.positions, options.chunk_positions);
+    EXPECT_LE(stats.peak_resident_bytes,
+              stats.peak_pending_bytes + stats.positions * 8);
+}
+
+/** A re-emission longer than the recorded trace is fatal at the end
+ *  of the recorded positions instead of reading past the last chunk
+ *  array. */
+TEST(StreamingOptDiffDeathTest, LongerSecondEmissionIsFatal)
+{
+    const auto emitLaps = [](TraceSink &sink, std::uint64_t laps) {
+        for (std::uint64_t lap = 0; lap < laps; ++lap)
+            for (std::uint64_t a = 0; a < 10; ++a)
+                sink.onAccess(readOf(a));
+    };
+    EXPECT_EXIT(
+        {
+            OptStreamOptions options;
+            options.chunk_positions = 16;
+            OptNextUseRecorder recorder(options);
+            emitLaps(recorder, 3);
+            recorder.finish(
+                [&](TraceSink &sink) { emitLaps(sink, 4); }, {4});
+        },
+        ::testing::ExitedWithCode(1), "did not replay");
+}
+
 void
 expectSameReuse(const ReuseDistanceAnalyzer &a,
                 const ReuseDistanceAnalyzer &b)

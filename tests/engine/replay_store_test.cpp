@@ -10,6 +10,7 @@
  * numbers stay honest.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -19,6 +20,9 @@
 
 #include "engine/curve_store.hpp"
 #include "engine/engine.hpp"
+#include "kernels/registry.hpp"
+#include "mem/opt_cache.hpp"
+#include "trace/sink.hpp"
 
 namespace fs = std::filesystem;
 
@@ -165,6 +169,76 @@ TEST_F(ReplayStoreTest, MixedFixedScheduleJobGoesFullyWarmFromDisk)
         << "warm disk must serve curves AND replayed columns with "
            "zero further emissions";
     expectSamePoints(cold, warm);
+}
+
+/** Per-point OPT runs the streaming recorder over a one-capacity
+ *  grid: every point's column must equal the buffered simulateOpt
+ *  oracle on the trace that point replays, and a cold OPT cell costs
+ *  exactly two emissions (the shared pass plus the recorder's second
+ *  pass) while a warm one costs none. Covers the per-point schedule
+ *  (schedule_m = 0) and a schedule_headroom job, each sharing its
+ *  emission with a streaming model, with and without force_replay. */
+TEST_F(ReplayStoreTest, PerPointOptMatchesBufferedOracleAtTwoEmissions)
+{
+    const auto kernel = KernelRegistry::instance().shared("matmul");
+
+    SweepJob per_point;
+    per_point.kernel = "matmul";
+    per_point.m_lo = 32;
+    per_point.m_hi = 256;
+    per_point.points = 4;
+    per_point.n_hint = 48;
+    per_point.models = {MemoryModelKind::Lru, MemoryModelKind::Opt};
+    per_point.models_only = true;
+
+    SweepJob headroom = per_point;
+    headroom.models = {MemoryModelKind::RandomRepl, MemoryModelKind::Opt};
+    headroom.schedule_headroom = 2;
+
+    const ExperimentEngine engine(1);
+    for (const SweepJob &base : {per_point, headroom}) {
+        for (const bool force : {false, true}) {
+            SCOPED_TRACE(std::string(base.schedule_headroom
+                                         ? "schedule_headroom"
+                                         : "per-point schedule") +
+                         (force ? ", force_replay" : ""));
+            CurveStore::instance().clear();
+            SweepJob job = base;
+            job.force_replay = force;
+
+            const std::uint64_t before = engineEmissionCount();
+            const auto cold = engine.runOne(job);
+            ASSERT_GE(cold.points.size(), 3u);
+            EXPECT_EQ(engineEmissionCount() - before,
+                      2 * cold.points.size())
+                << "a cold OPT cell costs two emissions";
+
+            for (const auto &point : cold.points) {
+                const std::uint64_t m = point.sample.m;
+                SCOPED_TRACE("m " + std::to_string(m));
+                const std::uint64_t trace_m =
+                    job.schedule_headroom
+                        ? std::max(m / job.schedule_headroom,
+                                   kernel->minMemory(cold.n_hint))
+                        : m;
+                VectorSink buffer;
+                kernel->emitTrace(
+                    kernel->regimeProblemSize(cold.n_hint, trace_m),
+                    trace_m, buffer);
+                EXPECT_EQ(point.model_io[1],
+                          simulateOpt(buffer.trace(), m)
+                              .stats.ioWords());
+            }
+
+            const std::uint64_t warm_before = engineEmissionCount();
+            const auto warm = engine.runOne(job);
+            EXPECT_EQ(engineEmissionCount() - warm_before,
+                      force ? 2 * cold.points.size() : 0u)
+                << (force ? "force_replay re-emits every cell"
+                          : "a warm OPT cell costs no emission");
+            expectSamePoints(cold, warm);
+        }
+    }
 }
 
 /** force_replay must bypass the store both ways: its results match,
