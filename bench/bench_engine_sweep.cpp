@@ -13,12 +13,13 @@
  *   bench_engine_sweep --threads 8 > b.txt
  *   diff a.txt b.txt   # empty; stderr shows the speedup
  *
- * --shard I/N splits the batch's (job, point) grid across N
- * invocations and writes a fragment; --merge reassembles fragments
- * into the full report, byte-identical to the unsharded run; --jobs N
- * spawns, monitors and merges the N shard subprocesses itself (CI
- * diffs exactly that, cold and warm store). See engine/shard.hpp and
- * engine/orchestrator.hpp.
+ * --shard I/N runs the I-th of N contiguous ranges of the batch's
+ * linearized (job, point) grid and writes a fragment; --merge
+ * reassembles fragments into the full report, byte-identical to the
+ * unsharded run. --jobs N deals fine --cells slices to N worker
+ * subprocesses of this binary, merges them and prints the report;
+ * it is the load-balanced route (CI diffs both). See
+ * engine/shard.hpp and engine/orchestrator.hpp.
  *
  * --perf-json PATH switches to the perf-report mode: it A/B-measures
  * the stack-distance fast path against direct per-point replay on
@@ -708,18 +709,9 @@ main(int argc, char **argv)
     return bench::runBench(
         argc, argv, nullptr,
         [](bench::BenchContext &ctx) {
-            if (!ctx.options().perf_json.empty()) {
-                // The perf report times a fixed A/B grid of its own;
-                // silently ignoring sharding flags would leave the
-                // caller waiting for a fragment that never appears.
-                if (!ctx.options().shard.empty() ||
-                    !ctx.options().merge_paths.empty()) {
-                    std::cerr << "perf-json: --shard/--merge do not "
-                                 "apply to the perf report\n";
-                    return 2;
-                }
+            // The driver refuses --perf-json with any partition flag.
+            if (!ctx.options().perf_json.empty())
                 return writePerfReport(ctx, ctx.options().perf_json);
-            }
 
             std::vector<SweepJob> jobs;
             for (const auto &name : ctx.kernels()) {

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "engine/shard.hpp"
+#include "util/rng.hpp"
 
 namespace fs = std::filesystem;
 namespace ch = std::chrono;
@@ -25,6 +26,10 @@ namespace kb {
 namespace {
 
 using Clock = ch::steady_clock;
+
+/// The progress deadline extends to this many observed mean slice
+/// times (see the file comment in orchestrator.hpp).
+constexpr double kDeadlineMultiplier = 8.0;
 
 /** Set by the handler, acted on from the poll loop: forwarding
  *  signals and removing directories is not async-signal-safe. */
@@ -265,22 +270,16 @@ orchestrateSweep(const OrchestratorSpec &spec)
             return initial_deadline;
         // Observed completions only EXTEND the deadline (see the
         // file comment: heterogeneous grids, heavy-job first rows).
-        const double scaled = spec.deadline_multiplier * avgMs();
+        const double scaled = kDeadlineMultiplier * avgMs();
         return std::max<std::uint64_t>(
             initial_deadline, static_cast<std::uint64_t>(scaled));
     };
-    // splitmix64 over (seed, slice, failures): deterministic jitter,
-    // no wall-clock randomness anywhere in the retry policy.
+    // SplitMix64 over (slice, failures): deterministic jitter, no
+    // wall-clock randomness anywhere in the retry policy.
     const auto jitterMs = [&](std::size_t slice,
                               unsigned failures) -> std::uint64_t {
-        std::uint64_t x = spec.seed ^
-                          (0x9e3779b97f4a7c15ull * (slice + 1)) ^
-                          (0xbf58476d1ce4e5b9ull * (failures + 1));
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebull;
-        x ^= x >> 31;
+        const std::uint64_t x =
+            SplitMix64((std::uint64_t{slice} << 32) ^ failures).next();
         return backoff_base != 0 ? x % backoff_base : 0;
     };
     const auto backoffMs = [&](std::size_t slice,

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "engine/engine.hpp"
@@ -243,15 +245,18 @@ TEST(OrchestratorMergeGuards, PartialMergeIsRefused)
     job.points = 4;
 
     const ExperimentEngine engine(1);
-    const ShardSpec spec{0, 2};
-    const auto partial = engine.run({job}, shardFilter(spec));
+    auto skeleton = engine.run(
+        {job}, [](std::size_t, std::size_t) { return false; });
+    const CellRange half{0, 2};
+    const auto partial =
+        engine.run({job}, cellRangeFilter(skeleton, half));
     const std::string dir = scratchDir("partial");
     fs::create_directories(dir);
     const std::string frag = dir + "/frag0.kbshard";
-    writeShardFragment(frag, spec, partial);
-
-    auto skeleton = engine.run(
-        {job}, [](std::size_t, std::size_t) { return false; });
+    CellFragmentWriter writer(frag, sweepSignature(skeleton), 1);
+    for (std::size_t p = half.lo; p < half.hi; ++p)
+        writer.appendCell(0, p, partial[0].points[p]);
+    writer.finish();
     EXPECT_EXIT({ mergeShardFragments(skeleton, {frag}); },
                 ::testing::ExitedWithCode(1), "missing cell");
 }
@@ -291,6 +296,28 @@ TEST(OrchestratorEndToEnd, JobsFlagIsByteIdenticalToUnsharded)
     EXPECT_EQ(unsharded, orchestrated)
         << "--jobs 2 stdout must be byte-identical to the unsharded "
            "run";
+}
+
+/** --perf-json times a grid of its own, so the driver refuses it
+ *  with any partition flag before doing any work. */
+TEST(OrchestratorEndToEnd, PerfJsonWithCellsExitsTwo)
+{
+    const char *bench = "./bench_engine_sweep";
+    if (!fs::exists(bench))
+        GTEST_SKIP() << "bench_engine_sweep not in the working "
+                        "directory";
+    const std::string dir = scratchDir("perfjson");
+    fs::create_directories(dir);
+    const std::string report = dir + "/x.json";
+    const std::string cmd = std::string(bench) + " --perf-json " +
+                            report + " --cells 0-1 2>/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_FALSE(fs::exists(report));
+    fs::remove_all(dir);
 }
 
 } // namespace
