@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -575,7 +576,7 @@ ExperimentEngine::run(const std::vector<SweepJob> &jobs) const
 
 std::vector<SweepResult>
 ExperimentEngine::run(const std::vector<SweepJob> &jobs,
-                      const PointFilter &owns) const
+                      const PointFilter &owns, const JobDone &done) const
 {
     auto &registry = KernelRegistry::instance();
 
@@ -654,13 +655,36 @@ ExperimentEngine::run(const std::vector<SweepJob> &jobs,
     // Phase 2: measure every (job, point) on the pool. Each task
     // writes only its own pre-allocated slot, so no locking and no
     // scheduling-dependent state: results are identical for any
-    // worker count.
-    parallelFor(tasks.size(), [&prepared, &tasks](std::size_t i) {
+    // worker count. With a JobDone hook, the last task of a job
+    // releases it, and finished jobs go to the hook in job order.
+    enum : char { kNoCells, kRunning, kMeasured };
+    std::vector<char> state(prepared.size(), kNoCells);
+    std::vector<std::atomic<std::size_t>> pending(prepared.size());
+    for (const Task &t : tasks) {
+        state[t.job] = kRunning;
+        pending[t.job].fetch_add(1, std::memory_order_relaxed);
+    }
+    std::mutex done_mu;
+    std::size_t next_done = 0;
+    const auto release = [&](std::size_t job) {
+        const std::lock_guard<std::mutex> lock(done_mu);
+        state[job] = kMeasured;
+        for (; next_done < prepared.size(); ++next_done) {
+            if (state[next_done] == kRunning)
+                return;
+            if (state[next_done] == kMeasured)
+                done(prepared[next_done].result);
+        }
+    };
+    parallelFor(tasks.size(), [&](std::size_t i) {
         const Task &t = tasks[i];
         if (t.point == Task::kJobTrace)
             executeJobTrace(prepared[t.job]);
         else
             executeTask(prepared[t.job], t.point);
+        if (done &&
+            pending[t.job].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            release(t.job);
     });
 
     std::vector<SweepResult> results;

@@ -127,6 +127,23 @@ TEST(Engine, OneThreadAndEightThreadsAreBitIdentical)
     expectIdentical(serial, parallel);
 }
 
+TEST(Engine, JobDoneStreamsOwnedJobsInJobOrder)
+{
+    // Job 0 half owned, job 1 not at all, job 2 fully.
+    const auto owns = [](std::size_t job, std::size_t point) {
+        return job == 2 || (job == 0 && point % 2 == 0);
+    };
+    std::vector<SweepResult> streamed;
+    const auto results = ExperimentEngine(8).run(
+        smallJobs(), owns,
+        [&streamed](const SweepResult &r) { streamed.push_back(r); });
+    ASSERT_EQ(streamed.size(), 2u);
+    EXPECT_EQ(streamed[0].job_index, 0u);
+    EXPECT_EQ(streamed[1].job_index, 2u);
+    expectIdentical(streamed, {results[0], results[2]});
+    expectIdentical(results, ExperimentEngine(1).run(smallJobs(), owns));
+}
+
 TEST(Engine, MeasureRatioCurveMatchesSerialEngine)
 {
     // The analysis entry point (hardware threads) returns the same
