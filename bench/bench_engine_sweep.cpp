@@ -382,8 +382,7 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
     }
 
     // Per-path A/B of the same one-pass scan: the vectorized row
-    // scan vs the scalar oracle, pinned explicitly so the report
-    // carries both regardless of KB_ANALYZER / --analyzer.
+    // scan vs the scalar oracle, each pinned explicitly.
     const auto timeMultiPath = [&](AnalyzerPath path,
                                    std::uint64_t &io) {
         const auto path_t0 = std::chrono::steady_clock::now();

@@ -10,7 +10,6 @@
 #include "engine/orchestrator.hpp"
 #include "engine/shard.hpp"
 #include "kernels/registry.hpp"
-#include "trace/reuse.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
@@ -60,13 +59,6 @@ printUsage(const char *prog, const char *experiment,
             "all\n"
             "                           hardware threads; output is\n"
             "                           identical for every N)\n");
-    std::fprintf(
-        stderr,
-        "  --analyzer PATH          set-associative row-scan path:\n"
-        "                           scalar or simd (default: the\n"
-        "                           KB_ANALYZER env var, else simd).\n"
-        "                           Curves are bit-identical for\n"
-        "                           every path\n");
     if (caps.perf_json)
         std::fprintf(
             stderr,
@@ -111,8 +103,6 @@ printUsage(const char *prog, const char *experiment,
         "  --csv PATH               write the bench's CSV series here\n"
         "  --no-csv                 suppress CSV side outputs\n"
         "  --list-kernels           print registered kernels and exit\n"
-        "  --list-analyzers         print analyzer paths (with the\n"
-        "                           resolved SIMD ISA) and exit\n"
         "  --help                   this text\n");
 }
 
@@ -125,18 +115,6 @@ listKernels()
         std::printf("%-18s %s\n", name.c_str(),
                     kernel->description().c_str());
     }
-}
-
-void
-listAnalyzers()
-{
-    std::printf("%-18s %s\n", analyzerPathName(AnalyzerPath::Scalar),
-                "original per-word loops (the bit-exactness oracle)");
-    std::printf("%-18s %s (resolved ISA: %s)\n",
-                analyzerPathName(AnalyzerPath::Simd),
-                "vectorized row scans, MarkRank block scans and the "
-                "run-block shortcut",
-                analyzerSimdIsa());
 }
 
 bool
@@ -378,14 +356,6 @@ runBench(int argc, char **argv, const char *experiment,
         } else if (arg == "--list-kernels") {
             listKernels();
             return 0;
-        } else if (arg == "--list-analyzers") {
-            listAnalyzers();
-            return 0;
-        } else if (arg == "--analyzer") {
-            const char *v = value("--analyzer");
-            if (v == nullptr)
-                return 2;
-            opts.analyzer = v;
         } else if (arg == "--kernel") {
             if (!caps.kernels)
                 return unsupported("--kernel");
@@ -514,20 +484,6 @@ runBench(int argc, char **argv, const char *experiment,
                          prog, name.c_str());
             return 2;
         }
-    }
-    // Validate and apply --analyzer: the process-wide default covers
-    // every analyzer this run constructs, and --jobs workers inherit
-    // the flag via self_args.
-    if (!opts.analyzer.empty()) {
-        AnalyzerPath path;
-        if (!parseAnalyzerPath(opts.analyzer, path)) {
-            std::fprintf(stderr,
-                         "%s: unknown analyzer path '%s' (valid: "
-                         "scalar, simd; try --list-analyzers)\n",
-                         prog, opts.analyzer.c_str());
-            return 2;
-        }
-        setActiveAnalyzerPath(path);
     }
     {
         const int partitions = (!opts.shard.empty() ? 1 : 0) +

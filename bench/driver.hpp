@@ -8,7 +8,7 @@
  * one place. Every bench now:
  *
  *   * parses the common flags (--kernel, --points, --threads,
- *     --analyzer, --csv, --no-csv, --list-kernels, --help);
+ *     --csv, --no-csv, --list-kernels, --help);
  *   * gets a BenchContext holding a ready ExperimentEngine sized by
  *     --threads;
  *   * runs its sweeps through the engine (deterministic: --threads N
@@ -82,12 +82,6 @@ struct DriverOptions
     std::vector<std::string> kernels;
     unsigned points = 0;  ///< --points: sweep samples; 0 = bench default
     unsigned threads = 0; ///< --threads: engine workers; 0 = hardware
-    /// --analyzer scalar|simd: row-scan path of the set-associative
-    /// analyzers (see trace/reuse.hpp). Empty = the KB_ANALYZER
-    /// environment variable, or simd. Curves are bit-identical across
-    /// paths; only the scan speed changes. Inherited by --jobs
-    /// workers via self_args.
-    std::string analyzer;
     std::string csv_path; ///< --csv: override the bench's CSV path
     bool no_csv = false;  ///< --no-csv: suppress CSV side outputs
     /// --perf-json: write the bench's machine-readable perf report

@@ -161,12 +161,6 @@ experimentById(const std::string &id)
     fatal("unknown experiment id " + id);
 }
 
-std::vector<SweepResult>
-runExperimentSweeps(const std::string &id, const ExperimentEngine &engine)
-{
-    return engine.run(experimentById(id).sweep_jobs);
-}
-
 void
 printExperimentBanner(const std::string &id)
 {

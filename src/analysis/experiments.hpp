@@ -37,13 +37,6 @@ const std::vector<ExperimentInfo> &allExperiments();
 const ExperimentInfo &experimentById(const std::string &id);
 
 /**
- * Execute an experiment's declared sweeps on @p engine (results in
- * job order; empty when the experiment declares no sweeps).
- */
-std::vector<SweepResult> runExperimentSweeps(const std::string &id,
-                                             const ExperimentEngine &engine);
-
-/**
  * Standard bench banner: prints the experiment header (id, artifact,
  * claim) to stdout.
  */

@@ -51,15 +51,6 @@ mergeOptCurves(const OptCurve &a, const OptCurve &b)
         a.accesses());
 }
 
-bool
-optCovers(const OptCurve &have, const OptCurve &want)
-{
-    return std::includes(have.capacities().begin(),
-                         have.capacities().end(),
-                         want.capacities().begin(),
-                         want.capacities().end());
-}
-
 } // namespace
 
 void
@@ -238,48 +229,55 @@ CurveStore::insertLocked(const EntryKey &key, Entry entry)
     return it;
 }
 
+std::optional<CurveStore::Entry>
+CurveStore::widened(int kind, const Entry &have, const Entry &in)
+{
+    switch (kind) {
+      case 0:
+        // A full LRU MissCurve answers every query, and the incoming
+        // one is the same deterministic content.
+        return std::nullopt;
+      case 1:
+        // Never narrow: a curve exact to fewer ways replacing a wider
+        // one would make the next wider lookup miss forever.
+        if (have.ways >= in.ways)
+            return std::nullopt;
+        return in;
+      case 2: {
+        // OPT curves union capacities, so jobs with different grids
+        // over one trace widen a shared curve instead of thrashing it.
+        if (std::includes(have.opt->capacities().begin(),
+                          have.opt->capacities().end(),
+                          in.opt->capacities().begin(),
+                          in.opt->capacities().end()))
+            return std::nullopt;
+        Entry out = in;
+        out.opt = mergeOptCurves(*have.opt, *in.opt);
+        return out;
+      }
+      default: {
+        // Replay curves union capacity points exactly like OPT.
+        if (have.model->covers(*in.model))
+            return std::nullopt;
+        Entry out = in;
+        out.model = std::make_shared<const ModelCurve>(
+            ModelCurve::merged(*have.model, *in.model));
+        return out;
+      }
+    }
+}
+
 std::pair<CurveStore::EntryMap::iterator, bool>
 CurveStore::foldLocked(const EntryKey &key, Entry entry)
 {
     const auto existing = entries_.find(key);
     if (existing != entries_.end()) {
-        switch (key.kind) {
-          case 0:
-            // A full LRU MissCurve answers every query; the incoming
-            // one is the same deterministic content.
+        auto wider = widened(key.kind, existing->second, entry);
+        if (!wider) {
             touchLocked(existing);
             return {existing, false};
-          case 1:
-            // Never narrow an entry: a curve exact to fewer ways
-            // replacing a wider one would make the next wider lookup
-            // miss forever.
-            if (existing->second.ways >= entry.ways) {
-                touchLocked(existing);
-                return {existing, false};
-            }
-            break;
-          case 2:
-            // OPT entries union instead of replace, so jobs with
-            // different grids over the same trace widen one shared
-            // curve rather than thrash the slot.
-            if (optCovers(*existing->second.opt, *entry.opt)) {
-                touchLocked(existing);
-                return {existing, false};
-            }
-            entry.opt =
-                mergeOptCurves(*existing->second.opt, *entry.opt);
-            break;
-          case 3:
-            // Replay curves union capacity points exactly like OPT.
-            if (existing->second.model->covers(*entry.model)) {
-                touchLocked(existing);
-                return {existing, false};
-            }
-            entry.model = std::make_shared<const ModelCurve>(
-                ModelCurve::merged(*existing->second.model,
-                                   *entry.model));
-            break;
         }
+        entry = std::move(*wider);
     }
     return {insertLocked(key, std::move(entry)), true};
 }
@@ -386,20 +384,36 @@ CurveStore::decodeEntry(const std::vector<std::uint8_t> &bytes,
 }
 
 std::optional<CurveStore::Entry>
-CurveStore::lookupEntry(const EntryKey &key, const Satisfies &satisfies,
-                        bool &from_disk)
+CurveStore::lookupEntry(const EntryKey &key, const Satisfies &satisfies)
 {
-    from_disk = false;
+    // Every outcome is counted here, with mutex_ held, for all four
+    // find* methods alike.
+    const auto counted = [&](const Entry *found, bool from_disk)
+        -> std::optional<Entry> {
+        if (found == nullptr) {
+            ++stats_.misses;
+            return std::nullopt;
+        }
+        ++stats_.hits;
+        stats_.disk_hits += from_disk ? 1 : 0;
+        stats_.replay_hits += key.kind == 3 ? 1 : 0;
+        return *found;
+    };
+    const auto tier1 = [&]() -> const Entry * {
+        const auto it = entries_.find(key);
+        if (it == entries_.end() || !satisfies(it->second))
+            return nullptr;
+        touchLocked(it);
+        return &it->second;
+    };
+
     std::string dir;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && satisfies(it->second)) {
-            touchLocked(it);
-            return it->second;
-        }
+        if (const Entry *hit = tier1())
+            return counted(hit, false);
         if (disk_dir_.empty() || disk_disabled_)
-            return std::nullopt;
+            return counted(nullptr, false);
         dir = disk_dir_;
     }
 
@@ -408,11 +422,8 @@ CurveStore::lookupEntry(const EntryKey &key, const Satisfies &satisfies,
         // Another thread may have loaded this entry while we queued
         // on the slot; skip the file read if it now satisfies us.
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && satisfies(it->second)) {
-            touchLocked(it);
-            return it->second;
-        }
+        if (const Entry *hit = tier1())
+            return counted(hit, false);
     }
 
     // File I/O below holds only this key's slot; the global mutex is
@@ -420,27 +431,26 @@ CurveStore::lookupEntry(const EntryKey &key, const Satisfies &satisfies,
     runIoHook();
     const std::string path = entryPath(dir, key);
     std::vector<std::uint8_t> bytes;
-    if (!readFileBytes(path, bytes))
-        return std::nullopt; // missing file: a plain miss
+    if (!readFileBytes(path, bytes)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return counted(nullptr, false); // missing file: a plain miss
+    }
     Entry decoded;
     if (!decodeEntry(bytes, key, decoded)) {
         // Remove the malformed file now (we hold the key's slot), so
-        // the recompute's first-write-wins publish is not blocked by
-        // the corpse it is replacing.
+        // the recompute's write does not find and reject it again.
         std::error_code ec;
         fs::remove(path, ec);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.disk_rejects;
-        return std::nullopt;
+        return counted(nullptr, false);
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, changed] = foldLocked(key, std::move(decoded));
-    (void)changed;
-    if (!satisfies(it->second))
-        return std::nullopt; // decoded but too narrow: a miss
-    from_disk = true;
-    return it->second;
+    const auto it = foldLocked(key, std::move(decoded)).first;
+    // Decoded but too narrow (a smaller ways bound or capacity set):
+    // a miss.
+    return counted(satisfies(it->second) ? &it->second : nullptr, true);
 }
 
 void
@@ -448,19 +458,18 @@ CurveStore::storeEntry(const EntryKey &key, Entry entry)
 {
     std::string dir;
     Entry snapshot;
-    bool changed = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto [it, ch] = foldLocked(key, std::move(entry));
-        changed = ch;
+        const auto [it, changed] = foldLocked(key, std::move(entry));
         snapshot = it->second;
-        // A key whose write already failed (or a disabled tier) keeps
-        // its tier-1 entry and skips the doomed file I/O.
-        dir = diskSkippedLocked(key) ? std::string() : disk_dir_;
+        // An entry tier 1 already covered was persisted when it was
+        // first folded in; a key whose write already failed (or a
+        // disabled tier) keeps its tier-1 entry and skips the doomed
+        // file I/O.
+        if (changed && !diskSkippedLocked(key))
+            dir = disk_dir_;
     }
-    // An entry tier 1 already covered was persisted when it was first
-    // folded in; skip the redundant file write.
-    if (dir.empty() || !changed)
+    if (dir.empty())
         return;
     SlotGuard slot(*this, key);
     runIoHook();
@@ -471,106 +480,41 @@ void
 CurveStore::diskWriteSlotHeld(const EntryKey &key, const Entry &entry,
                               const std::string &dir)
 {
+    // Read-merge-write under the entry's flock sidecar, for every
+    // kind: other threads of this process queue on the key's slot,
+    // other PROCESSES on the flock, so concurrent writers union their
+    // contributions instead of last-rename-wins dropping them, and a
+    // twin writer of an LRU entry finds the file already there.
     const std::string path = entryPath(dir, key);
-
-    if (key.kind == 0) {
-        // Plain LRU entries are a deterministic function of the key:
-        // publish first-write-wins, so a double-computed race costs
-        // one dropped temp file, never a torn or regressed entry.
-        auto bytes = encodeEntry(key, entry);
-        if (faultFireAt("corrupt-store-entry") && !bytes.empty())
-            bytes[bytes.size() / 2] ^= 0x40;
-        switch (writeFileAtomicEx(path, bytes,
-                                  /*first_write_wins=*/true)) {
-          case AtomicWriteResult::Published:
-            accountDiskWrite(dir,
-                             static_cast<std::int64_t>(bytes.size()));
-            break;
-          case AtomicWriteResult::AlreadyExists:
-            break; // a twin writer published the same content
-          case AtomicWriteResult::Error:
-            noteDiskError(key, path);
-            break;
-        }
-        return;
-    }
-
-    // Merged kinds (set-assoc width, OPT / replay-curve unions):
-    // read-merge-write under the entry's flock sidecar so concurrent
-    // writers — other threads of this process queue on the slot,
-    // other PROCESSES queue on the flock — union their contributions
-    // instead of last-rename-wins dropping them.
     FileLock file_lock(path + kLockSuffix);
-    Entry final_entry = entry;
-    bool need_write = true;
-    bool merged_disk = false;
-    std::vector<std::uint8_t> existing_bytes;
-    if (readFileBytes(path, existing_bytes)) {
+    std::optional<Entry> to_write = entry;
+    std::int64_t replaced = 0;
+    std::vector<std::uint8_t> existing;
+    if (readFileBytes(path, existing)) {
+        replaced = static_cast<std::int64_t>(existing.size());
         Entry on_disk;
-        if (decodeEntry(existing_bytes, key, on_disk)) {
-            switch (key.kind) {
-              case 1:
-                if (on_disk.ways >= entry.ways) {
-                    final_entry = on_disk;
-                    need_write = false;
-                }
-                break;
-              case 2:
-                if (optCovers(*on_disk.opt, *entry.opt)) {
-                    final_entry = on_disk;
-                    need_write = false;
-                } else if (!optCovers(*entry.opt, *on_disk.opt)) {
-                    final_entry.opt =
-                        mergeOptCurves(*entry.opt, *on_disk.opt);
-                }
-                break;
-              case 3:
-                if (on_disk.model->covers(*entry.model)) {
-                    final_entry = on_disk;
-                    need_write = false;
-                } else if (!entry.model->covers(*on_disk.model)) {
-                    final_entry.model =
-                        std::make_shared<const ModelCurve>(
-                            ModelCurve::merged(*entry.model,
-                                               *on_disk.model));
-                }
-                break;
-            }
-            merged_disk = true;
+        if (decodeEntry(existing, key, on_disk)) {
+            to_write = widened(key.kind, on_disk, entry);
+            // Whatever another invocation contributed is folded back
+            // into tier 1, so later in-process lookups cover it
+            // without re-reading the file.
+            std::lock_guard<std::mutex> lock(mutex_);
+            foldLocked(key, to_write ? *to_write : on_disk);
         } else {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.disk_rejects; // corrupt entry, overwrite it
         }
     }
-    if (need_write) {
-        auto bytes = encodeEntry(key, final_entry);
-        if (faultFireAt("corrupt-store-entry") && !bytes.empty())
-            bytes[bytes.size() / 2] ^= 0x40;
-        std::error_code ec;
-        const auto old_size = fs::file_size(path, ec);
-        const std::int64_t replaced =
-            ec ? 0 : static_cast<std::int64_t>(old_size);
-        switch (writeFileAtomicEx(path, bytes,
-                                  /*first_write_wins=*/false)) {
-          case AtomicWriteResult::Published:
-            accountDiskWrite(
-                dir,
-                static_cast<std::int64_t>(bytes.size()) - replaced);
-            break;
-          case AtomicWriteResult::AlreadyExists:
-            break; // not reachable for rename publishes
-          case AtomicWriteResult::Error:
-            noteDiskError(key, path);
-            break;
-        }
-    }
-    if (merged_disk) {
-        // Whatever another invocation contributed is folded back into
-        // tier 1, so subsequent in-process lookups cover it without
-        // re-reading the file.
-        std::lock_guard<std::mutex> lock(mutex_);
-        foldLocked(key, std::move(final_entry));
-    }
+    if (!to_write)
+        return;
+    auto bytes = encodeEntry(key, *to_write);
+    if (faultFireAt("corrupt-store-entry") && !bytes.empty())
+        bytes[bytes.size() / 2] ^= 0x40;
+    if (writeFileAtomic(path, bytes))
+        accountDiskWrite(dir,
+                         static_cast<std::int64_t>(bytes.size()) - replaced);
+    else
+        noteDiskError(key, path);
 }
 
 bool
@@ -733,20 +677,10 @@ CurveStore::diskEvict(const std::string &dir, std::uint64_t capacity)
 std::shared_ptr<const MissCurve>
 CurveStore::findLru(const TraceKey &key)
 {
-    const EntryKey entry_key{key, 0, 0, 0};
-    bool from_disk = false;
     const auto entry = lookupEntry(
-        entry_key,
-        [](const Entry &e) { return e.miss != nullptr; }, from_disk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry) {
-        ++stats_.hits;
-        if (from_disk)
-            ++stats_.disk_hits;
-        return entry->miss;
-    }
-    ++stats_.misses;
-    return nullptr;
+        EntryKey{key, 0, 0, 0},
+        [](const Entry &e) { return e.miss != nullptr; });
+    return entry ? entry->miss : nullptr;
 }
 
 void
@@ -762,26 +696,14 @@ std::shared_ptr<const MissCurve>
 CurveStore::findSetAssoc(const TraceKey &key, std::uint64_t sets,
                          std::uint64_t ways)
 {
-    const EntryKey entry_key{key, 1, sets, 0};
-    bool from_disk = false;
     // Tier 2 may hold a wider curve than tier 1 (another invocation's
-    // larger ways bound); foldLocked refuses to narrow, so the disk
-    // probe is safe even when a too-narrow tier-1 entry exists.
+    // larger ways bound); the fold never narrows, so the disk probe
+    // is safe even when a too-narrow tier-1 entry exists.
     const auto entry = lookupEntry(
-        entry_key,
-        [ways](const Entry &e) {
+        EntryKey{key, 1, sets, 0}, [ways](const Entry &e) {
             return e.miss != nullptr && e.ways >= ways;
-        },
-        from_disk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry) {
-        ++stats_.hits;
-        if (from_disk)
-            ++stats_.disk_hits;
-        return entry->miss;
-    }
-    ++stats_.misses;
-    return nullptr;
+        });
+    return entry ? entry->miss : nullptr;
 }
 
 void
@@ -799,32 +721,20 @@ std::shared_ptr<const OptCurve>
 CurveStore::findOpt(const TraceKey &key,
                     const std::vector<std::uint64_t> &capacities)
 {
-    const EntryKey entry_key{key, 2, 0, 0};
-    bool from_disk = false;
     // Tier 2 may resolve capacities tier 1 does not (another
-    // invocation's grid); foldLocked unions OPT entries, so the probe
+    // invocation's grid); the fold unions OPT entries, so the probe
     // widens the tier-1 curve and can never lose capacities. On a
     // miss the (possibly widened) tier-1 entry stays: the next
     // storeOpt merges with it, widening one shared curve instead of
     // thrashing the slot (within and across invocations).
     const auto entry = lookupEntry(
-        entry_key,
-        [&capacities](const Entry &e) {
+        EntryKey{key, 2, 0, 0}, [&capacities](const Entry &e) {
             return e.opt != nullptr &&
                    std::includes(e.opt->capacities().begin(),
                                  e.opt->capacities().end(),
                                  capacities.begin(), capacities.end());
-        },
-        from_disk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry) {
-        ++stats_.hits;
-        if (from_disk)
-            ++stats_.disk_hits;
-        return entry->opt;
-    }
-    ++stats_.misses;
-    return nullptr;
+        });
+    return entry ? entry->opt : nullptr;
 }
 
 void
@@ -840,24 +750,14 @@ std::optional<std::uint64_t>
 CurveStore::findReplayIo(const TraceKey &key, const ReplayModelKey &model,
                          std::uint64_t capacity)
 {
-    const EntryKey entry_key{key, 3, model.family, model.param};
-    bool from_disk = false;
     const auto entry = lookupEntry(
-        entry_key,
+        EntryKey{key, 3, model.family, model.param},
         [capacity](const Entry &e) {
             return e.model != nullptr && e.model->has(capacity);
-        },
-        from_disk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry) {
-        ++stats_.hits;
-        ++stats_.replay_hits;
-        if (from_disk)
-            ++stats_.disk_hits;
-        return entry->model->ioAt(capacity);
-    }
-    ++stats_.misses;
-    return std::nullopt;
+        });
+    if (!entry)
+        return std::nullopt;
+    return entry->model->ioAt(capacity);
 }
 
 void

@@ -33,13 +33,15 @@
  * one entry. Concurrent jobs hammering the store therefore only
  * contend for microseconds of map access, never for a read()/write()
  * syscall (the stress test's I/O hook proves the global lock is free
- * mid-I/O). Across processes, entries with merge semantics
- * (set-associative width, OPT and replay-curve unions) are written
- * read-merge-write under an flock(2) sidecar lock (`<entry>.lock`),
- * so concurrent writers union instead of losing each other's
- * contributions; plain LRU entries are deterministic per key and are
- * published first-write-wins (link(2)), so double-computed races
- * resolve without ever tearing or regressing a file.
+ * mid-I/O). Across processes, every entry is written
+ * read-merge-write under an flock(2) sidecar lock (`<entry>.lock`):
+ * the writer reads the file, asks the same widen rule tier 1 uses
+ * whether it already covers the new entry (an LRU file always does;
+ * a set-associative one when its ways bound is at least as wide; OPT
+ * and replay curves when their capacities include the new ones), and
+ * otherwise writes the union. Concurrent writers therefore never lose
+ * each other's contributions, and a double-computed LRU entry is
+ * written once.
  *
  * On-disk format (version 2 — version 1 predates replay entries and
  * is rejected and recomputed), one entry per file, file name
@@ -50,8 +52,8 @@
  *     ModelCurve)
  *   | u64 FNV-1a checksum of everything before it
  *
- * Files are written to a temp name and atomically renamed (or
- * linked) into place, so readers never see a torn entry. Any
+ * Files are written to a temp name and atomically renamed into
+ * place, so readers never see a torn entry. Any
  * malformed file — truncated, checksum mismatch, wrong version, key
  * collision, structurally inconsistent payload — is silently ignored
  * and the curve recomputed: corruption can cost time, never
@@ -129,9 +131,6 @@ struct CurveStoreStats
     std::uint64_t replay_hits = 0;
     std::uint64_t replay_stores = 0;
 };
-
-/// Historical name (the store grew out of the in-process CurveCache).
-using CurveCacheStats = CurveStoreStats;
 
 /** What a CurveStore::fsck() pass found (and, when asked, removed). */
 struct CurveStoreFsck
@@ -320,30 +319,38 @@ class CurveStore
     EntryMap::iterator insertLocked(const EntryKey &key, Entry entry);
 
     /**
-     * Merge @p entry into tier 1 honoring the per-kind widen-only
-     * invariants (never narrow a ways bound, union OPT/replay
-     * curves). Returns the surviving iterator and whether @p entry
-     * contributed anything the existing entry did not already have.
+     * The one widen rule, shared by the tier-1 fold and the tier-2
+     * write: nullopt when @p have already answers everything @p in
+     * does, else the entry to keep. LRU always covers (same
+     * deterministic content); set-associative keeps the larger ways
+     * bound; OPT and replay curves take the union of capacities.
+     */
+    static std::optional<Entry> widened(int kind, const Entry &have,
+                                        const Entry &in);
+
+    /**
+     * Merge @p entry into tier 1 by widened(). Returns the surviving
+     * iterator and whether @p entry contributed anything the existing
+     * entry did not already have.
      */
     std::pair<EntryMap::iterator, bool> foldLocked(const EntryKey &key,
                                                    Entry entry);
 
     /**
-     * Two-tier lookup: tier-1 probe under the global lock, then —
-     * outside it, under the key's I/O slot — a tier-2 read, decode
-     * and fold-back. @p satisfies decides whether an entry answers
-     * the query (wide enough ways bound, covering capacity set).
-     * Returns the entry and sets @p from_disk when tier 2 supplied
-     * it. Stats other than disk_rejects are the caller's.
+     * Two-tier lookup behind every find*: tier-1 probe under the
+     * global lock, then — outside it, under the key's I/O slot — a
+     * tier-2 read, decode and fold-back. @p satisfies decides whether
+     * an entry answers the query (wide enough ways bound, covering
+     * capacity set). Counts the outcome in hits/misses/disk_hits (and
+     * replay_hits for replay entries); a malformed file is removed
+     * and counted once in disk_rejects.
      */
     std::optional<Entry> lookupEntry(const EntryKey &key,
-                                     const Satisfies &satisfies,
-                                     bool &from_disk);
+                                     const Satisfies &satisfies);
 
     /**
      * Fold @p entry into tier 1 and persist the result to tier 2
-     * (outside the global lock, under the key's I/O slot; merged
-     * kinds read-merge-write under the entry's file lock).
+     * (outside the global lock, under the key's I/O slot).
      */
     void storeEntry(const EntryKey &key, Entry entry);
 
@@ -374,8 +381,9 @@ class CurveStore
     /** True when tier 2 should be skipped for @p key (locked). */
     bool diskSkippedLocked(const EntryKey &key) const;
 
-    /** Write @p entry's file under @p dir. Called with the key's I/O
-     *  slot held and the global mutex free. */
+    /** Read-merge-write @p entry's file under @p dir, holding the
+     *  entry's flock sidecar; called with the key's I/O slot held and
+     *  the global mutex free. */
     void diskWriteSlotHeld(const EntryKey &key, const Entry &entry,
                            const std::string &dir);
 
@@ -421,8 +429,5 @@ class CurveStore
     bool warned_disk_error_ = false;
     bool warned_disk_disabled_ = false;
 };
-
-/// Historical name (see CurveStoreStats).
-using CurveCache = CurveStore;
 
 } // namespace kb

@@ -186,19 +186,16 @@ orchestrateSweep(const OrchestratorSpec &spec)
         return result;
     }
 
-    // Policy knobs, with env overrides for fast tests and CI chaos
-    // jobs. A forced deadline pins the adaptive policy entirely.
+    // Policy knobs. KB_ORCH_DEADLINE_MS (CI's hung-worker chaos step)
+    // pins the adaptive deadline policy entirely.
     const std::uint64_t env_deadline = envU64("KB_ORCH_DEADLINE_MS", 0);
     const bool deadline_forced = env_deadline != 0;
     const std::uint64_t initial_deadline =
         deadline_forced ? env_deadline : spec.initial_deadline_ms;
-    const std::uint64_t backoff_base =
-        envU64("KB_ORCH_BACKOFF_MS", spec.backoff_base_ms);
+    const std::uint64_t backoff_base = spec.backoff_base_ms;
     const std::uint64_t backoff_cap =
         std::max(backoff_base, spec.backoff_cap_ms);
-    const std::uint64_t poll_ms =
-        std::max<std::uint64_t>(1, envU64("KB_ORCH_POLL_MS",
-                                          spec.poll_ms));
+    const std::uint64_t poll_ms = std::max<std::uint64_t>(1, spec.poll_ms);
 
     // Scratch directory for fragments and logs.
     std::error_code ec;

@@ -51,9 +51,10 @@
  * so util/faultpoint.hpp clauses like `kill-after-cells=1@worker=0`
  * hit exactly one spawn and the retry runs clean.
  *
- * KB_ORCH_DEADLINE_MS, KB_ORCH_BACKOFF_MS and KB_ORCH_POLL_MS
- * override the corresponding spec fields from the environment (tests
- * and CI chaos jobs want millisecond-scale policies).
+ * KB_ORCH_DEADLINE_MS overrides initial_deadline_ms from the
+ * environment and pins it (the chaos test and CI's hung-worker step
+ * need a fixed deadline on a real bench run); tests set the other
+ * policy fields on the spec directly.
  */
 
 #pragma once

@@ -11,11 +11,8 @@ PebbleGame::PebbleGame(const Dag &dag, std::uint64_t red_limit)
     const auto n = dag_.nodeCount();
     red_.assign(n, false);
     blue_.assign(n, false);
-    computed_.assign(n, false);
-    for (const auto v : dag_.inputs()) {
+    for (const auto v : dag_.inputs())
         blue_[v] = true;
-        computed_[v] = true; // inputs need no compute move
-    }
 }
 
 bool
@@ -42,7 +39,6 @@ PebbleGame::apply(const PebbleMove &move)
             if (!red_[p])
                 return false;
         red_[v] = true;
-        computed_[v] = true;
         ++red_count_;
         break;
       }

@@ -60,7 +60,6 @@ class PebbleGame
 
     bool hasRed(Dag::NodeId v) const { return red_[v]; }
     bool hasBlue(Dag::NodeId v) const { return blue_[v]; }
-    bool isComputed(Dag::NodeId v) const { return computed_[v]; }
 
     std::uint64_t redCount() const { return red_count_; }
     std::uint64_t redLimit() const { return red_limit_; }
@@ -73,7 +72,7 @@ class PebbleGame
   private:
     const Dag &dag_;
     std::uint64_t red_limit_;
-    std::vector<bool> red_, blue_, computed_;
+    std::vector<bool> red_, blue_;
     std::uint64_t red_count_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

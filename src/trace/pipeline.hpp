@@ -71,8 +71,6 @@ class AnalysisPipeline final : public TraceSink
     /** Add a consumer; delivery follows attach order. */
     void attach(TraceSink &consumer);
 
-    std::size_t consumerCount() const { return consumers_.size(); }
-
     void onAccess(const Access &access) override;
     void onRun(std::uint64_t base, std::uint64_t words,
                AccessType type) override;

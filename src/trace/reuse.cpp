@@ -11,24 +11,6 @@ namespace kb {
 
 namespace {
 
-/** Process-wide default row-scan path; first read consults
- *  KB_ANALYZER, the --analyzer driver flag overrides via the
- *  setter. */
-AnalyzerPath &
-activeAnalyzerPathSlot()
-{
-    static AnalyzerPath path = [] {
-        AnalyzerPath p = AnalyzerPath::Simd;
-        const char *env = std::getenv("KB_ANALYZER");
-        if (env != nullptr && *env != '\0')
-            KB_REQUIRE(parseAnalyzerPath(env, p),
-                       "KB_ANALYZER must be 'scalar' or 'simd', got ",
-                       env);
-        return p;
-    }();
-    return path;
-}
-
 /** ISA the Simd path runs on: host detection, overridable by the
  *  KB_SIMD env var (avx2|sse2|neon|generic, or auto; a forced ISA
  *  must be available on this build+host). */
@@ -164,30 +146,10 @@ analyzerPathName(AnalyzerPath path)
     return path == AnalyzerPath::Scalar ? "scalar" : "simd";
 }
 
-bool
-parseAnalyzerPath(const std::string &name, AnalyzerPath &out)
-{
-    if (name == "scalar") {
-        out = AnalyzerPath::Scalar;
-        return true;
-    }
-    if (name == "simd") {
-        out = AnalyzerPath::Simd;
-        return true;
-    }
-    return false;
-}
-
 AnalyzerPath
 activeAnalyzerPath()
 {
-    return activeAnalyzerPathSlot();
-}
-
-void
-setActiveAnalyzerPath(AnalyzerPath path)
-{
-    activeAnalyzerPathSlot() = path;
+    return AnalyzerPath::Simd;
 }
 
 const char *
@@ -201,7 +163,7 @@ namespace detail {
 RankIncFn
 rankIncFor(AnalyzerPath path)
 {
-    // Scalar keeps MarkRank's inline loops (the KB_ANALYZER=scalar
+    // Scalar keeps MarkRank's inline loops (the bit-exactness
     // oracle) by returning no override at all.
     if (path == AnalyzerPath::Scalar)
         return nullptr;
@@ -385,7 +347,7 @@ MultiSetReuseAnalyzer::MultiSetReuseAnalyzer(
 }
 
 // The pre-SIMD row scan, kept verbatim as the bit-exactness oracle
-// (KB_ANALYZER=scalar); only the row base math moved to the caller.
+// (AnalyzerPath::Scalar); only the row base math moved to the caller.
 // It also serves every row the compressed form cannot hold: planes
 // wider than 8 ways and rows demoted past the 32-bit address range.
 void

@@ -168,18 +168,13 @@ enum class AnalyzerPath
 /** "scalar" or "simd". */
 const char *analyzerPathName(AnalyzerPath path);
 
-/** Parse an analyzer path name; false (out untouched) on others. */
-bool parseAnalyzerPath(const std::string &name, AnalyzerPath &out);
-
 /**
- * Process-wide default row-scan path, used by every analyzer whose
- * constructor did not pin one. First use reads KB_ANALYZER
- * ("scalar"/"simd"; fatal otherwise); unset means Simd.
+ * Default row-scan path of every analyzer whose constructor did not
+ * pin one: always Simd. The Scalar oracle is reached only by passing
+ * AnalyzerPath::Scalar to a constructor (the differential tests and
+ * the micro benchmarks do).
  */
 AnalyzerPath activeAnalyzerPath();
-
-/** Override the process-wide default (the --analyzer driver flag). */
-void setActiveAnalyzerPath(AnalyzerPath path);
 
 /**
  * ISA the Simd path resolves to on this host: "avx2", "sse2", "neon"
@@ -214,7 +209,7 @@ struct RankView
 using RankIncFn = std::uint64_t (*)(const RankView &v, std::uint64_t p);
 
 /// ISA-specialized rank query for @p path, or nullptr for the scalar
-/// loops (the KB_ANALYZER=scalar oracle). Defined in trace/reuse.cpp.
+/// loops (the bit-exactness oracle). Defined in trace/reuse.cpp.
 RankIncFn rankIncFor(AnalyzerPath path);
 
 } // namespace detail
@@ -505,8 +500,8 @@ class MultiSetReuseAnalyzer : public TraceSink
      *                   SetAssocCache); must be non-empty, positive
      * @param max_ways   largest associativity resolved exactly;
      *                   distances >= max_ways are lumped
-     * @param path       row-scan implementation; defaults to the
-     *                   process-wide activeAnalyzerPath()
+     * @param path       row-scan implementation; defaults to
+     *                   activeAnalyzerPath()
      */
     MultiSetReuseAnalyzer(const std::vector<std::uint64_t> &set_counts,
                           std::uint64_t max_ways);
@@ -602,7 +597,7 @@ class MultiSetReuseAnalyzer : public TraceSink
 class ReuseDistanceAnalyzer : public TraceSink
 {
   public:
-    /** Uses the process-wide activeAnalyzerPath(). */
+    /** Uses activeAnalyzerPath(). */
     ReuseDistanceAnalyzer();
 
     /**

@@ -163,10 +163,8 @@ readFileBytes(const std::string &path, std::vector<std::uint8_t> &out)
     return in.good() || in.eof();
 }
 
-AtomicWriteResult
-writeFileAtomicEx(const std::string &path,
-                  std::span<const std::uint8_t> bytes,
-                  bool first_write_wins)
+bool
+writeFileAtomic(const std::string &path, std::span<const std::uint8_t> bytes)
 {
     namespace fs = std::filesystem;
     if (faultArmed("delay-write-ms")) {
@@ -175,7 +173,7 @@ writeFileAtomicEx(const std::string &path,
     }
     if (faultFireFrom("enospc-at-write")) {
         errno = ENOSPC;
-        return AtomicWriteResult::Error;
+        return false;
     }
     // The temp name carries the pid so concurrent writers (shards,
     // parallel invocations) never collide on it.
@@ -186,47 +184,21 @@ writeFileAtomicEx(const std::string &path,
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
-            return AtomicWriteResult::Error;
+            return false;
         out.write(reinterpret_cast<const char *>(bytes.data()),
                   static_cast<std::streamsize>(bytes.size()));
         if (!out.good()) {
             out.close();
             fs::remove(tmp, ec);
-            return AtomicWriteResult::Error;
+            return false;
         }
-    }
-    if (first_write_wins) {
-        // link(2) refuses to replace an existing file, so of two
-        // racing writers of the same (deterministic) content exactly
-        // the first publish lands; the loser just drops its copy.
-        const bool published = ::link(tmp.c_str(), path.c_str()) == 0;
-        if (!published && errno != EEXIST) {
-            // Filesystem without hard links: degrade to rename.
-            fs::rename(tmp, path, ec);
-            if (!ec)
-                return AtomicWriteResult::Published;
-            fs::remove(tmp, ec);
-            return AtomicWriteResult::Error;
-        }
-        fs::remove(tmp, ec);
-        return published ? AtomicWriteResult::Published
-                         : AtomicWriteResult::AlreadyExists;
     }
     fs::rename(tmp, path, ec);
     if (ec) {
         fs::remove(tmp, ec);
-        return AtomicWriteResult::Error;
+        return false;
     }
-    return AtomicWriteResult::Published;
-}
-
-bool
-writeFileAtomic(const std::string &path,
-                std::span<const std::uint8_t> bytes,
-                bool first_write_wins)
-{
-    return writeFileAtomicEx(path, bytes, first_write_wins) ==
-           AtomicWriteResult::Published;
+    return true;
 }
 
 FileLock::FileLock(const std::string &path)

@@ -15,8 +15,8 @@
  * content-addressed file names and for the end-of-file checksum.
  *
  * The file-level primitives the store's tier 2 is built on live here
- * too: whole-file reads, atomic replace-by-rename / publish-by-link
- * writes, and an advisory whole-file lock (flock). They are plain
+ * too: whole-file reads, atomic replace-by-rename writes, and an
+ * advisory whole-file lock (flock). They are plain
  * syscall wrappers with no store knowledge, so the concurrency tests
  * can exercise them directly.
  */
@@ -47,35 +47,17 @@ bool fromHex16(const std::string &hex, std::uint64_t &out);
 bool readFileBytes(const std::string &path,
                    std::vector<std::uint8_t> &out);
 
-/** How an atomic publish attempt ended. */
-enum class AtomicWriteResult
-{
-    Published,     ///< this call made @p path visible
-    AlreadyExists, ///< first-write-wins and another writer beat us
-    Error,         ///< I/O failure (ENOSPC, EACCES, torn temp, ...)
-};
-
 /**
- * Atomically publish @p bytes at @p path via a temp file in the same
- * directory. With @p first_write_wins false the temp file is renamed
- * over @p path (last writer wins, readers never see a torn file).
- * With it true the temp file is hard-linked to @p path instead, which
- * fails if the file already exists — the first concurrent writer of
- * deterministic content wins and later identical writes are dropped
- * (AlreadyExists, not an error).
+ * Atomically publish @p bytes at @p path: write a temp file in the
+ * same directory and rename it over @p path (last writer wins,
+ * readers never see a torn file). False on any I/O failure (ENOSPC,
+ * EACCES, torn temp, ...).
  *
  * Honors the `delay-write-ms` and `enospc-at-write` fault points
  * (util/faultpoint.hpp), so full-disk recovery paths are testable.
  */
-AtomicWriteResult writeFileAtomicEx(const std::string &path,
-                                    std::span<const std::uint8_t> bytes,
-                                    bool first_write_wins = false);
-
-/** writeFileAtomicEx() == Published (an AlreadyExists race and a real
- *  error both read as "this call published nothing"). */
 bool writeFileAtomic(const std::string &path,
-                     std::span<const std::uint8_t> bytes,
-                     bool first_write_wins = false);
+                     std::span<const std::uint8_t> bytes);
 
 /**
  * RAII advisory exclusive lock on @p path (flock(2), auto-created,

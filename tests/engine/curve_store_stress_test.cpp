@@ -12,7 +12,9 @@
  *  * concurrent writers of one OPT / replay entry — including
  *    SEPARATE store instances sharing a directory, the multi-process
  *    case — never lose a merge: the flock'd read-merge-write unions
- *    every contribution (the PR-4 last-rename-wins race, fixed).
+ *    every contribution (the PR-4 last-rename-wins race, fixed);
+ *  * concurrent twin writers of one LRU entry, through the same
+ *    flock'd path, write its file exactly once.
  */
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -269,6 +272,57 @@ TEST(CurveStoreConcurrency, ConcurrentOptAndReplayMergesAreNeverLost)
             << "replayed point of writer " << w << " was lost";
         EXPECT_EQ(*io, 2000 + w);
     }
+    reader.clearDisk();
+}
+
+/**
+ * Twin writers of one LRU entry: several store instances (= several
+ * processes) computed the same deterministic curve and publish it at
+ * once. The flock'd read-merge-write lets exactly one of them write
+ * the file; every later writer finds it there and covering.
+ */
+TEST(CurveStoreConcurrency, ConcurrentLruTwinsWriteTheEntryOnce)
+{
+    const std::string dir = scratchDir("lru_twins");
+    constexpr int kWriters = 6;
+
+    std::uint64_t disk_stores = 0;
+    {
+        std::vector<std::unique_ptr<CurveStore>> stores;
+        for (int w = 0; w < kWriters; ++w) {
+            stores.push_back(std::make_unique<CurveStore>());
+            stores.back()->setDiskDirectory(dir);
+        }
+        std::atomic<int> ready{0};
+        std::vector<std::thread> writers;
+        for (int w = 0; w < kWriters; ++w) {
+            writers.emplace_back([&, w] {
+                // Release every writer at once to maximize overlap.
+                ++ready;
+                while (ready.load() < kWriters)
+                    std::this_thread::yield();
+                stores[w]->storeLru(key(5), curveTagged(5));
+            });
+        }
+        for (auto &th : writers)
+            th.join();
+        for (const auto &store : stores)
+            disk_stores += store->stats().disk_stores;
+    }
+
+    std::size_t entries = 0;
+    for (const auto &de : fs::directory_iterator(dir))
+        entries += de.path().extension() == ".kbc" ? 1 : 0;
+    EXPECT_EQ(entries, 1u);
+    EXPECT_EQ(disk_stores, 1u)
+        << "a twin writer rewrote an LRU entry that was already there";
+
+    CurveStore reader;
+    reader.setDiskDirectory(dir);
+    const auto got = reader.findLru(key(5));
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->missesAt(0), curveTagged(5)->missesAt(0));
+    EXPECT_EQ(reader.stats().disk_hits, 1u);
     reader.clearDisk();
 }
 

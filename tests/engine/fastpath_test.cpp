@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,42 +90,57 @@ capacityGrid(std::uint64_t schedule_m, std::uint64_t footprint)
 }
 
 /**
+ * Every registered kernel, in registry order. Spelled out so that
+ * each (test, kernel) pair is its own gtest case, and so ctest, which
+ * registers these cases one by one, runs them in parallel;
+ * PerKernelCoverage pins the list to the registry, so a new kernel
+ * cannot go unchecked.
+ */
+const std::vector<std::string> kKernelNames = {
+    "matmul", "triangularization", "qr", "grid1d", "grid2d",
+    "grid3d", "grid4d", "fft", "sorting", "matvec", "trisolve",
+    "spmv", "stencil9", "stencil9t"};
+
+TEST(PerKernelCoverage, ParameterListIsTheRegistry)
+{
+    EXPECT_EQ(kKernelNames, KernelRegistry::instance().names());
+}
+
+class KernelFastPath : public ::testing::TestWithParam<std::string>
+{
+};
+
+/**
  * The tentpole property, per registered kernel: one analyzer pass
  * over the kernel's fixed-schedule trace reproduces direct LRU replay
  * at every capacity, bit for bit.
  */
-TEST(StackDistanceFastPath, CurveMatchesDirectLruForAllKernels)
+TEST_P(KernelFastPath, LruCurveMatchesDirectReplay)
 {
-    auto &registry = KernelRegistry::instance();
-    for (const auto &name : registry.names()) {
-        SCOPED_TRACE("kernel " + name);
-        const auto kernel = registry.shared(name);
+    const auto kernel = KernelRegistry::instance().shared(GetParam());
+    std::uint64_t m_lo = 0, m_hi = 0;
+    kernel->defaultSweepRange(m_lo, m_hi);
+    const std::uint64_t schedule_m = m_lo; // small, fast traces
+    const std::uint64_t n = kernel->regimeProblemSize(
+        kernel->suggestProblemSize(schedule_m), schedule_m);
 
-        std::uint64_t m_lo = 0, m_hi = 0;
-        kernel->defaultSweepRange(m_lo, m_hi);
-        const std::uint64_t schedule_m = m_lo; // small, fast traces
-        const std::uint64_t n = kernel->regimeProblemSize(
-            kernel->suggestProblemSize(schedule_m), schedule_m);
+    VectorSink buffer;
+    kernel->emitTrace(n, schedule_m, buffer);
+    const auto &trace = buffer.trace();
+    ASSERT_FALSE(trace.empty());
 
-        VectorSink buffer;
-        kernel->emitTrace(n, schedule_m, buffer);
-        const auto &trace = buffer.trace();
-        ASSERT_FALSE(trace.empty());
+    ReuseDistanceAnalyzer analyzer;
+    kernel->emitTrace(n, schedule_m, analyzer);
+    const auto curve = analyzer.missCurve();
+    EXPECT_EQ(curve.accesses(), trace.size());
 
-        ReuseDistanceAnalyzer analyzer;
-        kernel->emitTrace(n, schedule_m, analyzer);
-        const auto curve = analyzer.missCurve();
-        EXPECT_EQ(curve.accesses(), trace.size());
-
-        for (const auto cap :
-             capacityGrid(schedule_m, curve.footprint())) {
-            SCOPED_TRACE("capacity " + std::to_string(cap));
-            const auto direct = replayLru(trace, cap);
-            EXPECT_EQ(curve.missesAt(cap), direct.misses);
-            EXPECT_EQ(curve.hitsAt(cap), direct.hits);
-            EXPECT_EQ(curve.writebacksAt(cap), direct.writebacks);
-            EXPECT_EQ(curve.ioWords(cap), direct.ioWords());
-        }
+    for (const auto cap : capacityGrid(schedule_m, curve.footprint())) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        const auto direct = replayLru(trace, cap);
+        EXPECT_EQ(curve.missesAt(cap), direct.misses);
+        EXPECT_EQ(curve.hitsAt(cap), direct.hits);
+        EXPECT_EQ(curve.writebacksAt(cap), direct.writebacks);
+        EXPECT_EQ(curve.ioWords(cap), direct.ioWords());
     }
 }
 
@@ -134,35 +150,29 @@ TEST(StackDistanceFastPath, CurveMatchesDirectLruForAllKernels)
  * associativity up to the analyzer bound — per kernel, bit for bit,
  * writebacks and flush included.
  */
-TEST(SetAssocFastPath, CurveMatchesDirectReplayForAllKernels)
+TEST_P(KernelFastPath, SetAssocCurveMatchesDirectReplay)
 {
-    auto &registry = KernelRegistry::instance();
-    for (const auto &name : registry.names()) {
-        SCOPED_TRACE("kernel " + name);
-        std::uint64_t schedule_m = 0;
-        const auto trace = kernelTrace(name, schedule_m);
-        ASSERT_FALSE(trace.empty());
+    std::uint64_t schedule_m = 0;
+    const auto trace = kernelTrace(GetParam(), schedule_m);
+    ASSERT_FALSE(trace.empty());
 
-        for (const std::uint64_t sets :
-             {std::uint64_t{1}, std::uint64_t{3},
-              std::max<std::uint64_t>(schedule_m / 8, 2)}) {
-            SCOPED_TRACE("sets " + std::to_string(sets));
-            MultiSetReuseAnalyzer analyzer({sets}, 8);
-            for (const auto &a : trace)
-                analyzer.onAccess(a);
-            const auto curve = analyzer.waysCurve(0);
-            EXPECT_EQ(analyzer.accesses(), trace.size());
+    for (const std::uint64_t sets :
+         {std::uint64_t{1}, std::uint64_t{3},
+          std::max<std::uint64_t>(schedule_m / 8, 2)}) {
+        SCOPED_TRACE("sets " + std::to_string(sets));
+        MultiSetReuseAnalyzer analyzer({sets}, 8);
+        for (const auto &a : trace)
+            analyzer.onAccess(a);
+        const auto curve = analyzer.waysCurve(0);
+        EXPECT_EQ(analyzer.accesses(), trace.size());
 
-            for (const std::uint64_t ways : {1, 2, 7, 8}) {
-                SCOPED_TRACE("ways " + std::to_string(ways));
-                const auto direct =
-                    replaySetAssoc(trace, sets, ways);
-                EXPECT_EQ(curve.missesAt(ways), direct.misses);
-                EXPECT_EQ(curve.hitsAt(ways), direct.hits);
-                EXPECT_EQ(curve.writebacksAt(ways),
-                          direct.writebacks);
-                EXPECT_EQ(curve.ioWords(ways), direct.ioWords());
-            }
+        for (const std::uint64_t ways : {1, 2, 7, 8}) {
+            SCOPED_TRACE("ways " + std::to_string(ways));
+            const auto direct = replaySetAssoc(trace, sets, ways);
+            EXPECT_EQ(curve.missesAt(ways), direct.misses);
+            EXPECT_EQ(curve.hitsAt(ways), direct.hits);
+            EXPECT_EQ(curve.writebacksAt(ways), direct.writebacks);
+            EXPECT_EQ(curve.ioWords(ways), direct.ioWords());
         }
     }
 }
@@ -172,28 +182,29 @@ TEST(SetAssocFastPath, CurveMatchesDirectReplayForAllKernels)
  * reproduces simulateOpt at every requested capacity — per kernel,
  * bit for bit, writebacks and flush included.
  */
-TEST(OptFastPath, CurveMatchesSimulateOptForAllKernels)
+TEST_P(KernelFastPath, OptCurveMatchesSimulateOpt)
 {
-    auto &registry = KernelRegistry::instance();
-    for (const auto &name : registry.names()) {
-        SCOPED_TRACE("kernel " + name);
-        std::uint64_t schedule_m = 0;
-        const auto trace = kernelTrace(name, schedule_m);
-        ASSERT_FALSE(trace.empty());
+    std::uint64_t schedule_m = 0;
+    const auto trace = kernelTrace(GetParam(), schedule_m);
+    ASSERT_FALSE(trace.empty());
 
-        const auto caps = capacityGrid(schedule_m, schedule_m);
-        const auto curve = simulateOptCurve(trace, caps);
-        EXPECT_EQ(curve.accesses(), trace.size());
-        for (const auto cap : caps) {
-            SCOPED_TRACE("capacity " + std::to_string(cap));
-            const auto direct = simulateOpt(trace, cap);
-            EXPECT_EQ(curve.missesAt(cap), direct.stats.misses);
-            EXPECT_EQ(curve.writebacksAt(cap),
-                      direct.stats.writebacks);
-            EXPECT_EQ(curve.ioWords(cap), direct.stats.ioWords());
-        }
+    const auto caps = capacityGrid(schedule_m, schedule_m);
+    const auto curve = simulateOptCurve(trace, caps);
+    EXPECT_EQ(curve.accesses(), trace.size());
+    for (const auto cap : caps) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        const auto direct = simulateOpt(trace, cap);
+        EXPECT_EQ(curve.missesAt(cap), direct.stats.misses);
+        EXPECT_EQ(curve.writebacksAt(cap), direct.stats.writebacks);
+        EXPECT_EQ(curve.ioWords(cap), direct.stats.ioWords());
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PerKernel, KernelFastPath, ::testing::ValuesIn(kKernelNames),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 /**
  * Randomized property: on random read/write mixes (fed partly through
