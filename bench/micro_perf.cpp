@@ -560,6 +560,58 @@ BM_SweepCached(benchmark::State &state)
 }
 BENCHMARK(BM_SweepCached)->Unit(benchmark::kMicrosecond);
 
+/** Runs a cold_ablation-shaped matmul job (fixed schedule at m_hi,
+ *  eight points, models only) with @p models on @p threads engine
+ *  threads, from a cleared store with its disk tier detached. */
+void
+coldJobBenchmark(benchmark::State &state,
+                 std::vector<MemoryModelKind> models, unsigned threads)
+{
+    auto &store = CurveStore::instance();
+    const std::string ambient_dir = store.diskDirectory();
+    store.setDiskDirectory("");
+    ExperimentEngine engine(threads);
+    SweepJob job;
+    job.kernel = "matmul";
+    job.m_lo = 48;
+    job.m_hi = 1024;
+    job.points = 8;
+    job.models = std::move(models);
+    job.schedule_m = 1024;
+    job.models_only = true;
+    for (auto _ : state) {
+        store.clear();
+        benchmark::DoNotOptimize(engine.runOne(job));
+    }
+    store.setDiskDirectory(ambient_dir);
+}
+
+void
+BM_ColdJobTrace(benchmark::State &state)
+{
+    // lru + 8way-lru + opt, one pool task per consumer: at Arg(4) the
+    // job's wall time should approach BM_ColdJobOptChain's, its
+    // slowest consumer; Arg(1) runs the consumers back to back.
+    coldJobBenchmark(state,
+                     {MemoryModelKind::Lru, MemoryModelKind::SetAssocLru,
+                      MemoryModelKind::Opt},
+                     static_cast<unsigned>(state.range(0)));
+}
+BENCHMARK(BM_ColdJobTrace)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ColdJobOptChain(benchmark::State &state)
+{
+    // The same job's OPT column alone: recorder pass 1 and the Belady
+    // walk on a second emission.
+    coldJobBenchmark(state, {MemoryModelKind::Opt}, 1);
+}
+BENCHMARK(BM_ColdJobOptChain)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void
 BM_EngineSweep(benchmark::State &state)
 {

@@ -15,11 +15,11 @@
  * are returned in job order — so a 1-thread run and an N-thread run
  * produce bit-identical results and byte-identical reports.
  *
- * Replay models are streamed: each point emits its trace once, piping
- * it through a ReplaySink (fanned out through the chunked
- * AnalysisPipeline when several consumers share the emission) into
- * every demand-fill model in a single pass with no intermediate
- * vector.
+ * Replay models are streamed: each per-point cell emits its trace
+ * once, piping it through a ReplaySink (fanned out through the
+ * chunked AnalysisPipeline when several consumers share the
+ * emission) into every demand-fill model in a single pass with no
+ * intermediate vector.
  * Belady OPT, which needs the future, never holds the trace either:
  * its OptNextUseRecorder rides the same emission, and a second
  * emission feeds the Belady walk — over the one point's capacity on
@@ -28,8 +28,10 @@
  *
  * Stack-distance fast path: a job with a fixed schedule (schedule_m
  * != 0) measures Kung's Cio(M) — the *same* computation replayed at
- * every local-memory size. Every inclusion-respecting model column
- * then falls out of single passes over ONE trace emission:
+ * every local-memory size. Every model column then falls out of one
+ * pass per consumer over the job's trace, and each consumer is its
+ * own pool task with its own emission (emitting is cheap next to
+ * analyzing), so a job's consumers run in parallel:
  *
  *  * fully associative LRU: the whole capacity->I/O curve from one
  *    ReuseDistanceAnalyzer pass (Mattson stack distances plus a
@@ -41,15 +43,19 @@
  *    requested set count;
  *  * Belady OPT: OPT is a stack algorithm, so one segmented Belady
  *    stack walk resolves every grid capacity at once; it runs
- *    streamed (OptNextUseRecorder riding the shared emission, then a
- *    second emission feeding the stack) so the fast path never holds
- *    an O(trace) buffer — an OPT-bearing job costs two emissions
- *    cold instead of a trace-sized allocation.
+ *    streamed (OptNextUseRecorder on one emission, then a second
+ *    emission feeding the stack) so the fast path never holds an
+ *    O(trace) buffer — a cold OPT column costs two emissions instead
+ *    of a trace-sized allocation;
+ *  * models without the inclusion property (set-associative FIFO,
+ *    random replacement): one emission replays every point's missing
+ *    results through one ReplaySink, each model at O(1) per access
+ *    (random replacement is a RandomCache, not a one-set cache
+ *    scanning M ways).
  *
- * Models without the inclusion property (set-associative FIFO,
- * random replacement) are replayed from the same single emission,
- * each at O(1) per access (random replacement is a RandomCache, not
- * a one-set cache scanning M ways).
+ * A cold lru + 8way-lru + opt job therefore costs four emissions,
+ * one per consumer plus OPT's second pass; a consumer whose curves
+ * the store already has emits nothing.
  * The results are bit-identical to the direct per-point replay
  * (force_replay = true), which the equivalence tests assert.
  *
@@ -142,8 +148,8 @@ struct SweepJob
      *     for this m, replayed at every point's capacity. Decouples
      *     schedule-m from capacity-m (tile-headroom studies) and
      *     enables the stack-distance fast path: the trace is emitted
-     *     once per job and every LRU point is read off the one-pass
-     *     MissCurve.
+     *     once per model consumer (not per point) and every LRU point
+     *     is read off the one-pass MissCurve.
      */
     std::uint64_t schedule_m = 0;
     /**
@@ -211,7 +217,8 @@ struct SweepResult
 /**
  * Fixed-size thread-pool executor for SweepJobs.
  *
- * Tasks are individual (job, point) measurements, so a single
+ * Tasks are individual (job, point) measurements plus, for a
+ * fixed-schedule job, one task per model consumer, so a single
  * expensive job still spreads across the pool. run() may be called
  * repeatedly and from any thread; each call spins up its own workers
  * (jobs are seconds-scale, pool spin-up is microseconds).

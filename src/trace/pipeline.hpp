@@ -2,12 +2,14 @@
  * @file
  * Chunked analysis pipeline: one emission, every consumer.
  *
- * The engine's cold fast path computes several independent results
- * from the same trace — the fully-associative Mattson curve, the
- * multi-set set-associative curves, the OPT next-use table, and any
- * replayed non-inclusion models. Each consumer is a pure function of
- * the op sequence, so instead of re-walking the trace once per
- * consumer (or interleaving all of them per op through a tee),
+ * The engine's per-point cells compute several independent results
+ * from the same trace — the replayed models behind one ReplaySink
+ * and, for an OPT column, the next-use table. (A fixed-schedule job
+ * gives each consumer its own pool task and emission instead, so its
+ * consumers run in parallel; see engine/engine.hpp.) Each consumer
+ * is a pure function of the op sequence, so instead of re-walking
+ * the trace once per consumer (or interleaving all of them per op
+ * through a tee),
  * AnalysisPipeline renders the emission into a bounded, cache-resident
  * chunk of TraceOps and fans each full chunk out to every attached
  * consumer before the next chunk is rendered. Consumer-major delivery

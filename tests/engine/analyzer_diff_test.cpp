@@ -42,8 +42,15 @@
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
+#include "per_kernel.hpp"
+
 namespace kb {
 namespace {
+
+TEST(PerKernelCoverage, ParameterListIsTheRegistry)
+{
+    EXPECT_EQ(kKernelNames, KernelRegistry::instance().names());
+}
 
 /**
  * The retired Fenwick-tree reuse-distance implementation, kept
@@ -340,23 +347,26 @@ TEST(MarkRankDiff, MatchesNaiveBitVector)
     EXPECT_EQ(rank.total(), total);
 }
 
-TEST(HierarchicalReuseDiff, MatchesFenwickOnAllKernels)
+class HierarchicalReuseDiff : public ::testing::TestWithParam<std::string>
 {
-    for (const auto &name : KernelRegistry::instance().names()) {
-        SCOPED_TRACE("kernel " + name);
-        std::uint64_t schedule_m = 0;
-        const auto trace = kernelTrace(name, schedule_m);
-        ASSERT_FALSE(trace.empty());
+};
 
-        ReuseDistanceAnalyzer analyzer;
-        FenwickReuseReference reference;
-        for (const auto &a : trace) {
-            analyzer.onAccess(a);
-            reference.access(a);
-        }
-        expectMatchesReference(analyzer, reference);
+TEST_P(HierarchicalReuseDiff, MatchesFenwickOnKernel)
+{
+    std::uint64_t schedule_m = 0;
+    const auto trace = kernelTrace(GetParam(), schedule_m);
+    ASSERT_FALSE(trace.empty());
+
+    ReuseDistanceAnalyzer analyzer;
+    FenwickReuseReference reference;
+    for (const auto &a : trace) {
+        analyzer.onAccess(a);
+        reference.access(a);
     }
+    expectMatchesReference(analyzer, reference);
 }
+
+KB_INSTANTIATE_PER_KERNEL(HierarchicalReuseDiff);
 
 TEST(HierarchicalReuseDiff, MatchesFenwickOnAdversarialAndRandomRuns)
 {
@@ -425,15 +435,18 @@ expectMultiSetMatches(const std::vector<Access> &trace,
     }
 }
 
-TEST(MultiSetDiff, MatchesPerSetPassesAndReplayOnKernels)
+class MultiSetDiff : public ::testing::TestWithParam<std::string>
 {
-    for (const auto &name : KernelRegistry::instance().names()) {
-        SCOPED_TRACE("kernel " + name);
-        std::uint64_t schedule_m = 0;
-        const auto trace = kernelTrace(name, schedule_m);
-        expectMultiSetMatches(trace, {1, 3, 8, 32}, 4);
-    }
+};
+
+TEST_P(MultiSetDiff, MatchesPerSetPassesAndReplayOnKernel)
+{
+    std::uint64_t schedule_m = 0;
+    const auto trace = kernelTrace(GetParam(), schedule_m);
+    expectMultiSetMatches(trace, {1, 3, 8, 32}, 4);
 }
+
+KB_INSTANTIATE_PER_KERNEL(MultiSetDiff);
 
 TEST(MultiSetDiff, MatchesPerSetPassesOnAdversarialAndRandomRuns)
 {
@@ -474,38 +487,38 @@ expectSimdMatchesScalar(const std::vector<Run> &runs,
     }
 }
 
-TEST(MultiSetSimdDiff, MatchesScalarOnAllKernels)
+class MultiSetSimdDiff : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(MultiSetSimdDiff, MatchesScalarOnKernel)
 {
     // Emissions feed both analyzers directly as sinks, so the
     // kernels' run-aware onRun calls hit the bulk compressed path
     // exactly as in the production sweep.
-    for (const auto &name : KernelRegistry::instance().names()) {
-        SCOPED_TRACE("kernel " + name);
-        const auto kernel = KernelRegistry::instance().shared(name);
-        std::uint64_t m_lo = 0, m_hi = 0;
-        kernel->defaultSweepRange(m_lo, m_hi);
-        const std::uint64_t n = kernel->regimeProblemSize(
-            kernel->suggestProblemSize(m_lo), m_lo);
-        const std::vector<std::uint64_t> set_counts{1, 3, 8, 32};
-        MultiSetReuseAnalyzer simd(set_counts, 8,
-                                   AnalyzerPath::Simd);
-        MultiSetReuseAnalyzer scalar(set_counts, 8,
-                                     AnalyzerPath::Scalar);
-        kernel->emitTrace(n, m_lo, simd);
-        kernel->emitTrace(n, m_lo, scalar);
-        for (std::size_t p = 0; p < set_counts.size(); ++p) {
-            SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
-            const auto s = simd.waysCurve(p);
-            const auto o = scalar.waysCurve(p);
-            for (std::uint64_t w = 1; w <= 11; ++w) {
-                EXPECT_EQ(s.missesAt(w), o.missesAt(w))
-                    << "ways " << w;
-                EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
-                    << "ways " << w;
-            }
+    const auto kernel = KernelRegistry::instance().shared(GetParam());
+    std::uint64_t m_lo = 0, m_hi = 0;
+    kernel->defaultSweepRange(m_lo, m_hi);
+    const std::uint64_t n = kernel->regimeProblemSize(
+        kernel->suggestProblemSize(m_lo), m_lo);
+    const std::vector<std::uint64_t> set_counts{1, 3, 8, 32};
+    MultiSetReuseAnalyzer simd(set_counts, 8, AnalyzerPath::Simd);
+    MultiSetReuseAnalyzer scalar(set_counts, 8, AnalyzerPath::Scalar);
+    kernel->emitTrace(n, m_lo, simd);
+    kernel->emitTrace(n, m_lo, scalar);
+    for (std::size_t p = 0; p < set_counts.size(); ++p) {
+        SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
+        const auto s = simd.waysCurve(p);
+        const auto o = scalar.waysCurve(p);
+        for (std::uint64_t w = 1; w <= 11; ++w) {
+            EXPECT_EQ(s.missesAt(w), o.missesAt(w)) << "ways " << w;
+            EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
+                << "ways " << w;
         }
     }
 }
+
+KB_INSTANTIATE_PER_KERNEL(MultiSetSimdDiff);
 
 TEST(MultiSetSimdDiff, MatchesScalarOnAdversarialShapes)
 {
@@ -571,7 +584,11 @@ expectOptStreamingMatchesBuffered(const std::vector<Access> &trace,
     }
 }
 
-TEST(StreamingOptDiff, MatchesBufferedOnAllKernels)
+class StreamingOptDiff : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(StreamingOptDiff, MatchesBufferedOnKernel)
 {
     // Tiny chunks force many boundary crossings; a tiny spill budget
     // forces the disk path on every kernel-sized trace.
@@ -579,16 +596,14 @@ TEST(StreamingOptDiff, MatchesBufferedOnAllKernels)
     options.chunk_positions = 1024;
     options.spill_threshold_bytes = 1 << 14;
 
-    for (const auto &name : KernelRegistry::instance().names()) {
-        SCOPED_TRACE("kernel " + name);
-        std::uint64_t schedule_m = 0;
-        const auto trace = kernelTrace(name, schedule_m);
-        expectOptStreamingMatchesBuffered(
-            trace,
-            {1, 3, schedule_m / 2 + 1, schedule_m, 4 * schedule_m},
-            options);
-    }
+    std::uint64_t schedule_m = 0;
+    const auto trace = kernelTrace(GetParam(), schedule_m);
+    expectOptStreamingMatchesBuffered(
+        trace, {1, 3, schedule_m / 2 + 1, schedule_m, 4 * schedule_m},
+        options);
 }
+
+KB_INSTANTIATE_PER_KERNEL(StreamingOptDiff);
 
 TEST(StreamingOptDiff, MatchesBufferedOnAdversarialAndRandomRuns)
 {
@@ -783,43 +798,45 @@ expectPipelineMatchesDirect(const std::vector<Run> &runs,
     expectSameCurves(piped_fully, piped_multi, fully, multi, max_ways);
 }
 
-TEST(PipelineConsumersDiff, MatchesDirectFeedingOnAllKernels)
+class PipelineConsumersDiff
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PipelineConsumersDiff, MatchesDirectFeedingOnKernel)
 {
     // Real emissions, production shape: the kernel emits once into
-    // the pipeline exactly as the engine fast path drives it, and the
-    // references each get their own direct emission.
-    for (const auto &name : KernelRegistry::instance().names()) {
-        SCOPED_TRACE("kernel " + name);
-        const auto kernel = KernelRegistry::instance().shared(name);
-        std::uint64_t m_lo = 0, m_hi = 0;
-        kernel->defaultSweepRange(m_lo, m_hi);
-        const std::uint64_t n = kernel->regimeProblemSize(
-            kernel->suggestProblemSize(m_lo), m_lo);
-        const std::vector<std::uint64_t> set_counts{1, 3, 8, 32};
+    // the pipeline exactly as the engine's per-point cells drive it,
+    // and the references each get their own direct emission.
+    const auto kernel = KernelRegistry::instance().shared(GetParam());
+    std::uint64_t m_lo = 0, m_hi = 0;
+    kernel->defaultSweepRange(m_lo, m_hi);
+    const std::uint64_t n = kernel->regimeProblemSize(
+        kernel->suggestProblemSize(m_lo), m_lo);
+    const std::vector<std::uint64_t> set_counts{1, 3, 8, 32};
 
-        for (const auto path :
-             {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
-            SCOPED_TRACE(std::string("path ") +
-                         analyzerPathName(path));
-            ReuseDistanceAnalyzer fully(path);
-            MultiSetReuseAnalyzer multi(set_counts, 8, path);
-            kernel->emitTrace(n, m_lo, fully);
-            kernel->emitTrace(n, m_lo, multi);
+    for (const auto path : {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
+        SCOPED_TRACE(std::string("path ") + analyzerPathName(path));
+        ReuseDistanceAnalyzer fully(path);
+        MultiSetReuseAnalyzer multi(set_counts, 8, path);
+        kernel->emitTrace(n, m_lo, fully);
+        kernel->emitTrace(n, m_lo, multi);
 
-            ReuseDistanceAnalyzer piped_fully(path);
-            MultiSetReuseAnalyzer piped_multi(set_counts, 8, path);
-            AnalysisPipeline pipeline;
-            pipeline.attach(piped_multi);
-            pipeline.attach(piped_fully);
-            kernel->emitTrace(n, m_lo, pipeline);
-            pipeline.flush();
+        ReuseDistanceAnalyzer piped_fully(path);
+        MultiSetReuseAnalyzer piped_multi(set_counts, 8, path);
+        AnalysisPipeline pipeline;
+        pipeline.attach(piped_multi);
+        pipeline.attach(piped_fully);
+        kernel->emitTrace(n, m_lo, pipeline);
+        pipeline.flush();
 
-            ASSERT_EQ(pipeline.wordsDelivered(), fully.accesses());
-            EXPECT_GT(pipeline.chunksDelivered(), 0u);
-            expectSameCurves(piped_fully, piped_multi, fully, multi, 8);
-        }
+        ASSERT_EQ(pipeline.wordsDelivered(), fully.accesses());
+        EXPECT_GT(pipeline.chunksDelivered(), 0u);
+        expectSameCurves(piped_fully, piped_multi, fully, multi, 8);
     }
 }
+
+KB_INSTANTIATE_PER_KERNEL(PipelineConsumersDiff);
 
 TEST(PipelineConsumersDiff, MatchesDirectFeedingOnAdversarialAndRandomRuns)
 {

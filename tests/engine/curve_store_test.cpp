@@ -166,14 +166,15 @@ TEST_F(CurveStoreTest, WarmDiskServesFreshProcessWithZeroEmissions)
     const ExperimentEngine engine(1);
     const std::uint64_t before = engineEmissionCount();
     const auto cold = engine.runOne(job);
-    // Cold = shared analyzer emission + streaming OPT's second pass.
-    EXPECT_EQ(engineEmissionCount() - before, 2u);
+    // Cold = one emission per consumer (lru, 8way-lru, opt pass 1)
+    // + streaming OPT's second pass.
+    EXPECT_EQ(engineEmissionCount() - before, 4u);
 
     // Second *invocation*: tier 1 dies with the process, tier 2
     // persists. Zero further emissions, bit-identical results.
     store.clear();
     const auto warm = engine.runOne(job);
-    EXPECT_EQ(engineEmissionCount() - before, 2u)
+    EXPECT_EQ(engineEmissionCount() - before, 4u)
         << "a warm disk store must serve a fresh process without "
            "re-emitting the trace";
     EXPECT_GT(store.stats().disk_hits, 0u);
@@ -232,9 +233,9 @@ TEST_F(CurveStoreTest, CorruptEntriesAreIgnoredAndRecomputed)
     store.clear(); // fresh process against the corrupted disk tier
     const std::uint64_t before = engineEmissionCount();
     const auto recomputed = engine.runOne(job);
-    // Two fresh emissions: the analyzer pass plus streaming OPT's
-    // second pass (the job carries an Opt column).
-    EXPECT_EQ(engineEmissionCount() - before, 2u)
+    // Three fresh emissions: the LRU analyzer's, OPT pass 1's and
+    // streaming OPT's second pass (the job carries an Opt column).
+    EXPECT_EQ(engineEmissionCount() - before, 3u)
         << "corrupt entries must be recomputed from a fresh emission";
     EXPECT_GT(store.stats().disk_rejects, 0u);
     ASSERT_EQ(recomputed.points.size(), reference.points.size());

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "analysis/sweep.hpp"
+#include "engine/curve_store.hpp"
 #include "engine/engine.hpp"
 #include "kernels/kernel.hpp"
 #include "kernels/registry.hpp"
@@ -142,6 +145,97 @@ TEST(Engine, JobDoneStreamsOwnedJobsInJobOrder)
     EXPECT_EQ(streamed[1].job_index, 2u);
     expectIdentical(streamed, {results[0], results[2]});
     expectIdentical(results, ExperimentEngine(1).run(smallJobs(), owns));
+}
+
+/** Fixed-schedule jobs of matmul and fft carrying all five models:
+ *  each job's columns come from four consumer tasks (OPT, multi-set,
+ *  LRU, and one replay of FIFO + random) next to its point tasks.
+ *  The fft job also measures its schedule per point, so point tasks
+ *  write samples while consumers write model columns of the same
+ *  rows. */
+std::vector<SweepJob>
+allModelJobs(bool force_replay)
+{
+    std::vector<SweepJob> jobs;
+    for (const auto &[kernel, n, lo, hi, schedule] :
+         {std::tuple<const char *, std::uint64_t, std::uint64_t,
+                     std::uint64_t, std::uint64_t>{"matmul", 24, 16, 128,
+                                                   64},
+          {"fft", 0, 8, 64, 32}}) {
+        SweepJob job;
+        job.kernel = kernel;
+        job.n_hint = n;
+        job.m_lo = lo;
+        job.m_hi = hi;
+        job.points = 5;
+        job.models = {MemoryModelKind::Lru, MemoryModelKind::SetAssocLru,
+                      MemoryModelKind::SetAssocFifo,
+                      MemoryModelKind::RandomRepl, MemoryModelKind::Opt};
+        job.schedule_m = schedule;
+        job.models_only = job.kernel == "matmul";
+        job.force_replay = force_replay;
+        jobs.push_back(job);
+    }
+    return jobs;
+}
+
+TEST(Engine, JobConsumersBitIdenticalAcrossThreadCounts)
+{
+    auto &store = CurveStore::instance();
+    const auto oracle = ExperimentEngine(1).run(allModelJobs(true));
+
+    // Cold at every thread count: the consumers race for the pool in
+    // a different order each time, and the results do not move.
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(threads);
+        store.clear();
+        expectIdentical(ExperimentEngine(threads).run(allModelJobs(false)),
+                        oracle);
+    }
+
+    // A pre-warmed LRU curve and a cold OPT curve: only the missing
+    // consumers emit — multi-set, the replay and OPT's two passes,
+    // four per job — and a repeat emits nothing.
+    store.clear();
+    auto lru_jobs = allModelJobs(false);
+    for (auto &job : lru_jobs)
+        job.models = {MemoryModelKind::Lru};
+    std::uint64_t before = engineEmissionCount();
+    ExperimentEngine(8).run(lru_jobs);
+    EXPECT_EQ(engineEmissionCount() - before, 2u);
+    before = engineEmissionCount();
+    expectIdentical(ExperimentEngine(8).run(allModelJobs(false)), oracle);
+    EXPECT_EQ(engineEmissionCount() - before, 8u);
+    before = engineEmissionCount();
+    expectIdentical(ExperimentEngine(8).run(allModelJobs(false)), oracle);
+    EXPECT_EQ(engineEmissionCount() - before, 0u);
+
+    // Half of each job owned, cold, streamed through JobDone: the
+    // calls come in job order and equal the returned results, whose
+    // owned rows equal the oracle's and whose unowned rows stay
+    // empty.
+    store.clear();
+    const auto owns = [](std::size_t, std::size_t point) {
+        return point % 2 == 0;
+    };
+    std::vector<SweepResult> streamed;
+    const auto results = ExperimentEngine(8).run(
+        allModelJobs(false), owns,
+        [&streamed](const SweepResult &r) { streamed.push_back(r); });
+    ASSERT_EQ(streamed.size(), 2u);
+    EXPECT_EQ(streamed[0].job_index, 0u);
+    EXPECT_EQ(streamed[1].job_index, 1u);
+    expectIdentical(streamed, results);
+    for (std::size_t j = 0; j < results.size(); ++j) {
+        for (std::size_t p = 0; p < results[j].points.size(); ++p) {
+            if (owns(j, p))
+                EXPECT_EQ(results[j].points[p].model_io,
+                          oracle[j].points[p].model_io);
+            else
+                EXPECT_TRUE(results[j].points[p].model_io.empty());
+        }
+    }
+    store.clear();
 }
 
 TEST(Engine, MeasureRatioCurveMatchesSerialEngine)

@@ -31,6 +31,8 @@
 #include "trace/sink.hpp"
 #include "util/rng.hpp"
 
+#include "per_kernel.hpp"
+
 namespace kb {
 namespace {
 
@@ -88,18 +90,6 @@ capacityGrid(std::uint64_t schedule_m, std::uint64_t footprint)
                                     footprint + 9};
     return {caps.begin(), caps.end()};
 }
-
-/**
- * Every registered kernel, in registry order. Spelled out so that
- * each (test, kernel) pair is its own gtest case, and so ctest, which
- * registers these cases one by one, runs them in parallel;
- * PerKernelCoverage pins the list to the registry, so a new kernel
- * cannot go unchecked.
- */
-const std::vector<std::string> kKernelNames = {
-    "matmul", "triangularization", "qr", "grid1d", "grid2d",
-    "grid3d", "grid4d", "fft", "sorting", "matvec", "trisolve",
-    "spmv", "stencil9", "stencil9t"};
 
 TEST(PerKernelCoverage, ParameterListIsTheRegistry)
 {
@@ -200,11 +190,7 @@ TEST_P(KernelFastPath, OptCurveMatchesSimulateOpt)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PerKernel, KernelFastPath, ::testing::ValuesIn(kKernelNames),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        return info.param;
-    });
+KB_INSTANTIATE_PER_KERNEL(KernelFastPath);
 
 /**
  * Randomized property: on random read/write mixes (fed partly through
@@ -465,12 +451,12 @@ TEST(EngineCurveStore, RepeatedJobReusesCurvesWithoutReemission)
     const auto cold = engine.runOne(job);
     const std::uint64_t cold_emissions =
         engineEmissionCount() - emissions_before;
-    // Two emissions, not one: the analyzers share the first, and the
-    // streaming OPT walk re-emits for its second pass instead of
-    // holding an O(trace) buffer.
-    EXPECT_EQ(cold_emissions, 2u)
-        << "fast path should emit the job's trace exactly twice "
-           "(shared analyzer pass + streaming OPT pass 2)";
+    // Four emissions: one per consumer (LRU, multi-set, OPT pass 1),
+    // each on its own pool task, plus the streaming OPT walk's second
+    // pass instead of an O(trace) buffer.
+    EXPECT_EQ(cold_emissions, 4u)
+        << "fast path should emit the job's trace once per consumer "
+           "(lru, 8way-lru, opt pass 1) plus once for OPT pass 2";
 
     const auto warm = engine.runOne(job);
     EXPECT_EQ(engineEmissionCount() - emissions_before,

@@ -158,14 +158,15 @@ TEST_F(ReplayStoreTest, MixedFixedScheduleJobGoesFullyWarmFromDisk)
     const ExperimentEngine engine(1);
     const std::uint64_t before = engineEmissionCount();
     const auto cold = engine.runOne(job);
-    // Shared analyzer/replay emission + streaming OPT's second pass.
-    EXPECT_EQ(engineEmissionCount() - before, 2u)
-        << "the fast path emits the fixed-schedule trace twice "
-           "(shared pass + streaming OPT pass 2)";
+    // One emission per consumer (lru, 8way-lru, the fifo+random
+    // replay, opt pass 1) + streaming OPT's second pass.
+    EXPECT_EQ(engineEmissionCount() - before, 5u)
+        << "the fast path emits the fixed-schedule trace once per "
+           "consumer plus once for OPT pass 2";
 
     store.clear();
     const auto warm = engine.runOne(job);
-    EXPECT_EQ(engineEmissionCount() - before, 2u)
+    EXPECT_EQ(engineEmissionCount() - before, 5u)
         << "warm disk must serve curves AND replayed columns with "
            "zero further emissions";
     expectSamePoints(cold, warm);
