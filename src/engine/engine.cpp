@@ -238,10 +238,10 @@ usesJobTrace(const SweepJob &job)
  * Emit one per-point (n, m) trace through the chunked analysis
  * pipeline: the streaming models (if any) behind one ReplaySink —
  * flushed at end of trace — plus any extra branches (OPT's next-use
- * recorder). Each rendered chunk fans out to every consumer before
- * the next is rendered, so consumers run cache-hot over whole chunks
- * instead of interleaving per op through a tee (see
- * trace/pipeline.hpp).
+ * recorder, the 8-way LRU stack analyzer). Each rendered chunk fans
+ * out to every consumer before the next is rendered, so consumers run
+ * cache-hot over whole chunks instead of interleaving per op through
+ * a tee (see trace/pipeline.hpp).
  */
 void
 emitThroughBranches(const Kernel &kernel, std::uint64_t n,
@@ -271,7 +271,13 @@ emitThroughBranches(const Kernel &kernel, std::uint64_t n,
         replay->flush();
 }
 
-/** Measure one (job, point): schedule costs plus model replays. */
+/** Measure one (job, point): schedule costs plus model columns. 8-way
+ *  LRU keeps the inclusion property at a fixed set count, so its
+ *  column comes off a one-plane stack analyzer (2.9x faster than a
+ *  SetAssocCache replay on E12's matmul cells, 4-vCPU avx2 guest);
+ *  force_replay keeps that replay as its oracle. FIFO, random and
+ *  fully associative LRU are replayed (an LruCache is as fast as a
+ *  ReuseDistanceAnalyzer at one capacity). */
 void
 executeTask(PreparedJob &pj, std::size_t point_idx)
 {
@@ -325,13 +331,14 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
         }
     }
 
-    // One emitTrace() pass feeds every model whose result is missing
-    // through a streaming ReplaySink, and an uncached OPT column's
-    // next-use recorder rides the same emission. With every result
+    // One emitTrace() pass feeds every model whose result is missing:
+    // OPT's next-use recorder, 8-way LRU's stack analyzer and the
+    // other models behind one streaming ReplaySink. With every result
     // cached the trace is not emitted at all.
     std::vector<std::unique_ptr<LocalMemory>> streaming;
     std::vector<LocalMemory *> streaming_ptrs;
     std::optional<OptNextUseRecorder> opt_recorder;
+    std::optional<MultiSetReuseAnalyzer> set_assoc;
     if (!all_cached) {
         for (std::size_t i = 0; i < job.models.size(); ++i) {
             if (cached[i])
@@ -340,12 +347,21 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
                 opt_recorder.emplace();
                 continue;
             }
+            if (job.models[i] == MemoryModelKind::SetAssocLru &&
+                !job.force_replay) {
+                set_assoc.emplace(
+                    std::vector<std::uint64_t>{setAssocSets(m)},
+                    kSetAssocWays);
+                continue;
+            }
             streaming.push_back(makeMemoryModel(job.models[i], m));
             streaming_ptrs.push_back(streaming.back().get());
         }
         std::vector<TraceSink *> branches;
         if (opt_recorder)
             branches.push_back(&*opt_recorder);
+        if (set_assoc)
+            branches.push_back(&*set_assoc);
         emitThroughBranches(kernel, n_trace, trace_m, streaming_ptrs,
                             std::move(branches));
     }
@@ -370,6 +386,9 @@ executeTask(PreparedJob &pj, std::size_t point_idx)
             io = *cached[i];
         } else if (job.models[i] == MemoryModelKind::Opt) {
             io = opt_curve->ioWords(m);
+        } else if (job.models[i] == MemoryModelKind::SetAssocLru &&
+                   set_assoc) {
+            io = set_assoc->waysCurve(0).ioWords(kSetAssocWays);
         } else {
             io = streaming[next_streaming++]->stats().ioWords();
         }

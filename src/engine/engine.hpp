@@ -15,11 +15,14 @@
  * are returned in job order — so a 1-thread run and an N-thread run
  * produce bit-identical results and byte-identical reports.
  *
- * Replay models are streamed: each per-point cell emits its trace
- * once, piping it through a ReplaySink (fanned out through the
- * chunked AnalysisPipeline when several consumers share the
- * emission) into every demand-fill model in a single pass with no
- * intermediate vector.
+ * Per-point cells are streamed: each cell emits its trace once
+ * (fanned out through the chunked AnalysisPipeline when several
+ * consumers share the emission), with no intermediate vector. An
+ * 8-way LRU column rides it as a one-plane MultiSetReuseAnalyzer at
+ * the cell's set count (inclusion holds at a fixed set count);
+ * FIFO, random and fully associative LRU go through a ReplaySink
+ * into live models. force_replay replays 8-way LRU through a
+ * SetAssocCache instead, as the analyzer's oracle.
  * Belady OPT, which needs the future, never holds the trace either:
  * its OptNextUseRecorder rides the same emission, and a second
  * emission feeds the Belady walk — over the one point's capacity on
@@ -65,11 +68,12 @@
  * repeated job — a re-run grid, an A/B bench, and with the on-disk
  * tier enabled even a whole separate invocation — reads its columns
  * without re-emitting the trace at all. The same holds for the
- * *replay* path: every per-point replayed result (non-inclusion
- * models on a fixed schedule, and every model of a per-point-schedule
- * job, schedule_headroom jobs included) is a pure function of (trace
- * identity, model family, model config, capacity) and is keyed into
- * the store as a ModelCurve entry — so warm repeats of replay jobs
+ * *replay* path: every per-point result (non-inclusion models on a
+ * fixed schedule, and every model of a per-point-schedule job,
+ * schedule_headroom jobs included, whether replayed or read off a
+ * per-point analyzer) is a pure function of (trace identity, model
+ * family, model config, capacity) and is keyed into the store as a
+ * ModelCurve entry — so warm repeats of replay jobs
  * also add zero emissions. engineEmissionCount() exposes the
  * emission counter so tests can assert exactly that.
  *
@@ -177,7 +181,8 @@ struct SweepJob
      */
     std::uint64_t schedule_headroom_num = 1;
     /**
-     * Disable the stack-distance fast path AND bypass the CurveStore
+     * Disable the stack-distance paths (the fixed-schedule consumers
+     * and the per-point 8-way LRU analyzer) AND bypass the CurveStore
      * entirely (no reads, no writes): every point replays directly
      * from a fresh emission. The results are identical either way;
      * this exists for the equivalence tests and the A/B speedup

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "analysis/sweep.hpp"
@@ -16,6 +17,7 @@
 #include "kernels/registry.hpp"
 #include "mem/lru_cache.hpp"
 #include "trace/replay.hpp"
+#include "util/simd.hpp"
 
 namespace kb {
 namespace {
@@ -74,6 +76,50 @@ class ToyStreamKernel : public Kernel
 const KernelRegistrar kToyRegistrar{
     "toy_stream", [] { return std::make_unique<ToyStreamKernel>(); },
     100, /*compute_bound=*/false};
+
+/**
+ * A plug-in kernel whose trace straddles simd::kOrderedMaxAddr, the
+ * largest address the stack analyzers' 32-bit compressed rows hold.
+ * It sweeps n low words in blocks of m / 2 (each block read, then
+ * written), touches four words across the guard (the rows demote to
+ * the scalar form mid-trace), sweeps the low blocks again in reverse
+ * (so the demoted recency order and dirty state decide the hits and
+ * write-backs), then sweeps n words across the guard.
+ */
+class HighAddressKernel : public ToyStreamKernel
+{
+  public:
+    std::string name() const override { return "toy_high_addr"; }
+    std::string description() const override
+    {
+        return "test-only kernel across the compressed-row guard";
+    }
+    void
+    emitTrace(std::uint64_t n, std::uint64_t m,
+              TraceSink &sink) const override
+    {
+        const std::uint64_t block = std::max<std::uint64_t>(m / 2, 1);
+        const auto sweep = [&](std::uint64_t base, std::uint64_t b) {
+            const std::uint64_t words = std::min(block, n - b);
+            sink.onRun(base + b, words, AccessType::Read);
+            sink.onRun(base + b, words, AccessType::Write);
+        };
+        for (std::uint64_t b = 0; b < n; b += block)
+            sweep(0, b);
+        sink.onRun(simd::kOrderedMaxAddr - 1, 4, AccessType::Read);
+        for (std::uint64_t b = (n - 1) / block * block;; b -= block) {
+            sweep(0, b);
+            if (b == 0)
+                break;
+        }
+        for (std::uint64_t b = 0; b < n; b += block)
+            sweep(simd::kOrderedMaxAddr - n / 2, b);
+    }
+};
+
+const KernelRegistrar kHighAddressRegistrar{
+    "toy_high_addr", [] { return std::make_unique<HighAddressKernel>(); },
+    101, /*compute_bound=*/false};
 
 std::vector<SweepJob>
 smallJobs()
@@ -355,6 +401,39 @@ TEST(Registry, PluginKernelNeedsNoCoreChanges)
     EXPECT_EQ(result.n_hint, 4u * 64u);
     for (const auto &p : result.points)
         EXPECT_GT(p.sample.ratio, 0.0);
+}
+
+/** Per-point 8-way LRU cells whose trace crosses the analyzers'
+ *  32-bit compressed-row guard match the force_replay SetAssocCache
+ *  oracle: alone (the analyzer takes the stream directly) and beside
+ *  other models (it rides the chunked pipeline). */
+TEST(Engine, PerPointSetAssocPastTheCompressedRowGuardMatchesReplay)
+{
+    SweepJob job;
+    job.kernel = "toy_high_addr";
+    job.m_lo = 5;
+    job.m_hi = 200;
+    job.points = 4;
+    job.models_only = true;
+    for (const auto &models :
+         {std::vector<MemoryModelKind>{MemoryModelKind::SetAssocLru},
+          std::vector<MemoryModelKind>{MemoryModelKind::SetAssocLru,
+                                       MemoryModelKind::Lru,
+                                       MemoryModelKind::Opt}}) {
+        SCOPED_TRACE(models.size());
+        job.models = models;
+        SweepJob oracle = job;
+        oracle.force_replay = true;
+        CurveStore::instance().clear();
+        const auto fast = ExperimentEngine(2).runOne(job);
+        const auto direct = ExperimentEngine(1).runOne(oracle);
+        ASSERT_EQ(fast.points.size(), direct.points.size());
+        for (std::size_t p = 0; p < fast.points.size(); ++p) {
+            SCOPED_TRACE("m " + std::to_string(fast.points[p].sample.m));
+            EXPECT_EQ(fast.points[p].model_io, direct.points[p].model_io);
+        }
+    }
+    CurveStore::instance().clear();
 }
 
 TEST(Engine, PartialRangeKeepsExplicitBound)
