@@ -305,36 +305,6 @@ BM_OptCurveGrid(benchmark::State &state)
 BENCHMARK(BM_OptCurveGrid);
 
 void
-BM_OptChunkPrefetch(benchmark::State &state)
-{
-    // Chunk readahead in the pass-2 walk: Arg(0) = synchronous chunk
-    // loads, Arg(1) = double-buffered prefetch. A tiny spill budget
-    // forces the disk path so the prefetch has real file reads to
-    // overlap with the walk.
-    Xoshiro256 rng(9);
-    std::vector<Access> trace(1 << 15);
-    for (auto &a : trace)
-        a = rng.below(8) == 0 ? writeOf(rng.below(1 << 10))
-                              : readOf(rng.below(1 << 10));
-    OptStreamOptions opts;
-    opts.chunk_positions = 1 << 11;
-    opts.spill_threshold_bytes = 1 << 14;
-    opts.prefetch = state.range(0) != 0;
-    for (auto _ : state) {
-        const auto curve = simulateOptCurveStreaming(
-            [&](TraceSink &sink) {
-                for (const auto &a : trace)
-                    sink.onAccess(a);
-            },
-            {256}, opts);
-        benchmark::DoNotOptimize(curve.missesAt(256));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_OptChunkPrefetch)->Arg(0)->Arg(1);
-
-void
 BM_MatmulMeasure(benchmark::State &state)
 {
     MatmulKernel k;

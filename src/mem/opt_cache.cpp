@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <limits>
 #include <set>
 #include <unordered_map>
@@ -21,6 +20,27 @@ namespace kb {
 namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+/** The dense id of a trace's next new word, given @p words seen. */
+std::uint32_t
+newWordId(std::size_t words)
+{
+    KB_REQUIRE(words < (1ull << 32),
+               "OPT word ids are 32-bit: a trace footprint of 2^32 "
+               "words or more is not supported");
+    return static_cast<std::uint32_t>(words);
+}
+
+/** Sort and deduplicate an OPT capacity grid; fatal unless non-empty
+ *  and positive. */
+void
+normalizeCapacities(std::vector<std::uint64_t> &caps)
+{
+    std::sort(caps.begin(), caps.end());
+    caps.erase(std::unique(caps.begin(), caps.end()), caps.end());
+    KB_REQUIRE(!caps.empty() && caps.front() > 0,
+               "OPT curve needs at least one positive capacity");
+}
 
 } // namespace
 
@@ -216,8 +236,11 @@ class SegmentedOptStack
     {
     }
 
-    /** Feed the access at the next trace position. */
-    void access(const Access &a, std::uint64_t next_use);
+    /** Feed the access at the next trace position: @p id is its
+     *  word's dense id in first-occurrence order, so the first touch
+     *  of a word comes with id == words seen so far. */
+    void access(const Access &a, std::uint64_t next_use,
+                std::uint32_t id);
 
     OptCurve
     curve(std::uint64_t accesses) const
@@ -334,8 +357,7 @@ class SegmentedOptStack
     const std::vector<std::uint64_t> caps_;
     std::vector<std::vector<Entry>> heaps_;
     std::vector<std::uint64_t> live_;
-    FlatWordMap<std::uint32_t> ids_; ///< addr -> dense word id
-    std::vector<Word> words_;        ///< dense word states
+    std::vector<Word> words_; ///< index = dense word id
     std::vector<std::uint64_t> hist_;    ///< index = band found (1..k+1)
     std::vector<std::uint64_t> wb_hist_; ///< index = window band
     std::uint64_t cold_ = 0;
@@ -346,16 +368,14 @@ class SegmentedOptStack
 };
 
 void
-SegmentedOptStack::access(const Access &a, std::uint64_t next_use)
+SegmentedOptStack::access(const Access &a, std::uint64_t next_use,
+                          std::uint32_t id)
 {
     const std::size_t k = caps_.size();
     ++walked_;
-    const auto [id_slot, inserted] = ids_.tryEmplace(a.addr);
-    if (inserted) {
-        *id_slot = static_cast<std::uint32_t>(words_.size());
+    const bool inserted = id == words_.size();
+    if (inserted)
         words_.push_back(Word{});
-    }
-    const std::uint32_t id = *id_slot;
     Word *w = &words_[id];
     // Band the access found its word in; k+1 also stands in for cold
     // words (miss at every capacity, like overflow).
@@ -429,12 +449,7 @@ OptCurve
 simulateOptCurve(std::span<const Access> trace,
                  std::vector<std::uint64_t> capacities)
 {
-    std::sort(capacities.begin(), capacities.end());
-    capacities.erase(
-        std::unique(capacities.begin(), capacities.end()),
-        capacities.end());
-    KB_REQUIRE(!capacities.empty() && capacities.front() > 0,
-               "OPT curve needs at least one positive capacity");
+    normalizeCapacities(capacities);
 
     // Pass 1: next-use indices, as in simulateOpt.
     std::vector<std::uint64_t> next_use(trace.size(), kNever);
@@ -446,17 +461,24 @@ simulateOptCurve(std::span<const Access> trace,
         *slot = i;
     }
 
-    // Pass 2: one walk of the segmented stack.
+    // Pass 2: one walk of the segmented stack, with word ids in
+    // first-occurrence order.
     SegmentedOptStack stack(capacities);
-    for (std::uint64_t i = 0; i < trace.size(); ++i)
-        stack.access(trace[i], next_use[i]);
+    FlatWordMap<std::uint32_t> ids;
+    for (std::uint64_t i = 0; i < trace.size(); ++i) {
+        const auto [slot, inserted] = ids.tryEmplace(trace[i].addr);
+        if (inserted)
+            *slot = newWordId(ids.size() - 1);
+        stack.access(trace[i], next_use[i], *slot);
+    }
     return stack.curve(trace.size());
 }
 
 namespace {
 
-/// One streaming record: u32 chunk offset + u64 next-use position.
-constexpr std::uint64_t kRecordBytes = 12;
+/// Bytes of one chunk position (u64 next use + u32 word id) and of
+/// one patch record (u32 chunk offset + u64 next use).
+constexpr std::uint64_t kEntryBytes = 12;
 
 /** Create a unique spill directory under @p base (or the system temp
  *  directory). Uniqueness comes from pid + a process-wide counter so
@@ -478,6 +500,25 @@ makeSpillDir(const std::string &base)
     return dir.string();
 }
 
+// Raw fixed-width dumps are fine here: spill files are process-private
+// scratch consumed by the same binary, not the portable on-disk store.
+template <typename T>
+void
+writeRaw(std::ofstream &out, const std::vector<T> &v)
+{
+    out.write(reinterpret_cast<const char *>(v.data()),
+              static_cast<std::streamsize>(v.size() * sizeof(T)));
+}
+
+template <typename T>
+void
+readRaw(std::ifstream &in, std::vector<T> &v, std::uint64_t n)
+{
+    v.resize(static_cast<std::size_t>(n));
+    in.read(reinterpret_cast<char *>(v.data()),
+            static_cast<std::streamsize>(n * sizeof(T)));
+}
+
 } // namespace
 
 OptNextUseRecorder::OptNextUseRecorder(OptStreamOptions options)
@@ -497,7 +538,7 @@ OptNextUseRecorder::~OptNextUseRecorder()
 }
 
 std::string
-OptNextUseRecorder::bucketFile(std::size_t chunk) const
+OptNextUseRecorder::spillFile(std::size_t chunk) const
 {
     return spill_dir_ + "/chunk_" + std::to_string(chunk) + ".bin";
 }
@@ -505,24 +546,25 @@ OptNextUseRecorder::bucketFile(std::size_t chunk) const
 void
 OptNextUseRecorder::note(std::uint64_t addr)
 {
+    if (pos_ == open_end_)
+        openChunk();
     const auto [slot, inserted] = last_seen_.tryEmplace(addr);
-    if (!inserted) {
-        // This access is the next use of position *slot.
-        const std::uint64_t prev = *slot;
-        const auto chunk =
-            static_cast<std::size_t>(prev / opts_.chunk_positions);
-        if (buckets_.size() <= chunk)
-            buckets_.resize(chunk + 1);
-        buckets_[chunk].off.push_back(
-            static_cast<std::uint32_t>(prev % opts_.chunk_positions));
-        buckets_[chunk].next.push_back(pos_);
-        pending_bytes_ += kRecordBytes;
-        peak_pending_bytes_ =
-            std::max(peak_pending_bytes_, pending_bytes_);
-        if (pending_bytes_ > opts_.spill_threshold_bytes)
-            spill();
+    if (inserted) {
+        *slot = newWordId(last_pos_.size());
+        last_pos_.push_back(pos_);
+    } else {
+        // This access is the next use of position `prev`.
+        std::uint64_t &prev = last_pos_[*slot];
+        if (prev >= spilled_end_)
+            chunks_[prev / opts_.chunk_positions]
+                .next[prev % opts_.chunk_positions] = pos_;
+        else
+            patch(prev, pos_);
+        prev = pos_;
     }
-    *slot = pos_;
+    Chunk &open = chunks_.back();
+    open.next.push_back(kNever);
+    open.id.push_back(*slot);
     ++pos_;
 }
 
@@ -538,196 +580,129 @@ OptNextUseRecorder::noteRun(std::uint64_t base, std::uint64_t words)
 }
 
 void
-OptNextUseRecorder::spill()
+OptNextUseRecorder::patch(std::uint64_t prev, std::uint64_t next)
+{
+    Patches &p = patches_[prev / opts_.chunk_positions];
+    p.off.push_back(
+        static_cast<std::uint32_t>(prev % opts_.chunk_positions));
+    p.next.push_back(next);
+    pending_bytes_ += kEntryBytes;
+    notePeak(chunks_.back().next.size() * kEntryBytes);
+    if (pending_bytes_ > opts_.spill_threshold_bytes)
+        spill(chunks_.size() - 1); // all but the open chunk
+}
+
+void
+OptNextUseRecorder::openChunk()
+{
+    if (!chunks_.empty())
+        closeChunk();
+    // Reserved, not filled: pages are touched only as positions
+    // arrive. The reservation stops at the default chunk size, so a
+    // longer chunk grows on demand instead of reserving its span.
+    const auto reserve = static_cast<std::size_t>(std::min(
+        opts_.chunk_positions, OptStreamOptions{}.chunk_positions));
+    Chunk &chunk = chunks_.emplace_back();
+    chunk.next.reserve(reserve);
+    chunk.id.reserve(reserve);
+    open_end_ = pos_ + opts_.chunk_positions;
+}
+
+void
+OptNextUseRecorder::closeChunk()
+{
+    const std::uint64_t bytes = chunks_.back().next.size() * kEntryBytes;
+    notePeak(bytes);
+    if (pending_bytes_ + bytes > opts_.spill_threshold_bytes) {
+        spill(chunks_.size());
+    } else {
+        pending_bytes_ += bytes;
+        notePeak(0);
+    }
+}
+
+void
+OptNextUseRecorder::spill(std::size_t closed)
 {
     if (spill_dir_.empty())
         spill_dir_ = makeSpillDir(opts_.spill_dir);
-    for (std::size_t c = 0; c < buckets_.size(); ++c) {
-        Bucket &bucket = buckets_[c];
-        if (bucket.off.empty())
+    // A chunk's file holds its dense arrays, then the patch segments
+    // appended after the chunk went to disk.
+    patches_.resize(closed);
+    for (std::size_t c = 0; c < closed; ++c) {
+        const bool dense = c * opts_.chunk_positions >= spilled_end_;
+        Patches &p = patches_[c];
+        if (!dense && p.off.empty())
             continue;
-        // Raw fixed-width dumps are fine here: spill files are
-        // process-private scratch consumed by the same binary, not
-        // the portable on-disk store.
-        std::ofstream out(bucketFile(c),
-                          std::ios::binary | std::ios::app);
-        const std::uint64_t n = bucket.off.size();
-        out.write(reinterpret_cast<const char *>(&n), sizeof n);
-        out.write(reinterpret_cast<const char *>(bucket.off.data()),
-                  static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
-        out.write(reinterpret_cast<const char *>(bucket.next.data()),
-                  static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
+        std::ofstream out(spillFile(c), std::ios::binary |
+                          (dense ? std::ios::trunc : std::ios::app));
+        if (dense) {
+            writeRaw(out, chunks_[c].next);
+            writeRaw(out, chunks_[c].id);
+            spilled_bytes_ += chunks_[c].next.size() * kEntryBytes;
+            chunks_[c] = Chunk{}; // release capacity, not just size
+        } else {
+            const std::uint64_t n = p.off.size();
+            out.write(reinterpret_cast<const char *>(&n), sizeof n);
+            writeRaw(out, p.off);
+            writeRaw(out, p.next);
+            spilled_bytes_ += sizeof n + n * kEntryBytes;
+            p = Patches{};
+        }
         KB_REQUIRE(out.good(), "short write to OPT spill file ",
-                   bucketFile(c));
-        spilled_bytes_ += sizeof n + n * kRecordBytes;
-        bucket = Bucket{}; // release capacity, not just size
+                   spillFile(c));
     }
+    spilled_end_ = closed * opts_.chunk_positions;
     pending_bytes_ = 0;
 }
 
 void
-OptNextUseRecorder::loadChunk(std::size_t chunk,
-                              std::vector<std::uint64_t> &next_use)
+OptNextUseRecorder::loadChunk(std::size_t chunk, Chunk &out)
 {
-    // Sized to the positions the chunk really holds: a trace (or a
-    // last chunk) shorter than chunk_positions gets a short array.
-    const std::uint64_t base = chunk * opts_.chunk_positions;
-    next_use.assign(static_cast<std::size_t>(std::min(
-                        opts_.chunk_positions, pos_ - base)),
-                    kNever);
     ++chunks_loaded_;
-    // Each position was recorded at most once across disk and memory
-    // (a position is "previous use" to at most one later access), so
-    // segments apply in any order without conflicts.
-    if (!spill_dir_.empty()) {
-        std::ifstream in(bucketFile(chunk), std::ios::binary);
-        std::vector<std::uint32_t> off;
-        std::vector<std::uint64_t> next;
-        std::uint64_t n = 0;
-        while (in.read(reinterpret_cast<char *>(&n), sizeof n)) {
-            off.resize(static_cast<std::size_t>(n));
-            next.resize(static_cast<std::size_t>(n));
-            in.read(reinterpret_cast<char *>(off.data()),
-                    static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
-            in.read(reinterpret_cast<char *>(next.data()),
-                    static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
-            KB_REQUIRE(in.good(), "truncated OPT spill file ",
-                       bucketFile(chunk));
-            for (std::size_t i = 0; i < off.size(); ++i)
-                next_use[off[i]] = next[i];
-        }
+    if (chunk * opts_.chunk_positions >= spilled_end_) {
+        pending_bytes_ -= chunks_[chunk].next.size() * kEntryBytes;
+        out = std::move(chunks_[chunk]);
+        return;
     }
-    if (chunk < buckets_.size()) {
-        Bucket &bucket = buckets_[chunk];
-        for (std::size_t i = 0; i < bucket.off.size(); ++i)
-            next_use[bucket.off[i]] = bucket.next[i];
-        pending_bytes_ -= bucket.off.size() * kRecordBytes;
-        bucket = Bucket{};
-    }
-}
-
-void
-OptNextUseRecorder::prefetchChunk(std::size_t chunk,
-                                  std::vector<std::uint64_t> &next_use)
-{
 #if defined(POSIX_FADV_WILLNEED)
-    // Readahead hint before the blocking read: with cold page cache
-    // the kernel overlaps the file I/O with this worker's own
-    // scatter work instead of faulting page by page.
-    if (!spill_dir_.empty()) {
-        const int fd = ::open(bucketFile(chunk).c_str(), O_RDONLY);
+    // Readahead hint for the next spilled chunk, so its disk reads
+    // overlap the walk of this one.
+    if ((chunk + 1) * opts_.chunk_positions < spilled_end_) {
+        const int fd = ::open(spillFile(chunk + 1).c_str(), O_RDONLY);
         if (fd >= 0) {
             ::posix_fadvise(fd, 0, 0, POSIX_FADV_WILLNEED);
             ::close(fd);
         }
     }
 #endif
-    loadChunk(chunk, next_use);
-    ++chunks_prefetched_;
+    // Every chunk but the last holds chunk_positions positions. Each
+    // position gets at most one next use, so patches from disk and
+    // memory apply in any order without conflicts.
+    const std::uint64_t n = std::min(
+        opts_.chunk_positions, pos_ - chunk * opts_.chunk_positions);
+    const auto apply = [&out](const Patches &p) {
+        for (std::size_t i = 0; i < p.off.size(); ++i)
+            out.next[p.off[i]] = p.next[i];
+    };
+    std::ifstream in(spillFile(chunk), std::ios::binary);
+    readRaw(in, out.next, n);
+    readRaw(in, out.id, n);
+    KB_REQUIRE(in.good(), "truncated OPT spill file ", spillFile(chunk));
+    Patches p;
+    for (std::uint64_t count = 0;
+         in.read(reinterpret_cast<char *>(&count), sizeof count);) {
+        readRaw(in, p.off, count);
+        readRaw(in, p.next, count);
+        KB_REQUIRE(in.good(), "truncated OPT spill file ",
+                   spillFile(chunk));
+        apply(p);
+    }
+    apply(patches_[chunk]);
+    pending_bytes_ -= patches_[chunk].off.size() * kEntryBytes;
+    patches_[chunk] = Patches{};
+    notePeak(n * kEntryBytes);
 }
-
-/**
- * Pass-2 sink: replays the re-emitted trace against the recorded
- * next uses, materializing one next-use chunk at a time (chunks are
- * crossed in order because trace positions ascend).
- *
- * With OptStreamOptions::prefetch the cursor double-buffers: while
- * the walk consumes chunk k, a worker thread materializes chunk k+1
- * into the standby buffer, and the boundary crossing becomes a
- * buffer swap instead of a blocking load. The worker is always
- * joined before any recorder state is touched again (loads mutate
- * the record buckets), and a standby buffer that does not match the
- * chunk being entered — impossible in the ascending walk, but kept
- * defensive — falls back to a synchronous load.
- */
-class OptChunkCursor : public TraceSink
-{
-  public:
-    OptChunkCursor(OptNextUseRecorder &recorder,
-                   SegmentedOptStack &stack)
-        : recorder_(recorder), stack_(stack),
-          total_chunks_((recorder.pos_ +
-                         recorder.opts_.chunk_positions - 1) /
-                        recorder.opts_.chunk_positions)
-    {
-    }
-
-    ~OptChunkCursor() override { drain(); }
-
-    void onAccess(const Access &access) override { feed(access); }
-
-    void
-    onRun(std::uint64_t base, std::uint64_t words,
-          AccessType type) override
-    {
-        for (std::uint64_t i = 0; i < words; ++i)
-            feed(Access{base + i, type});
-    }
-
-    std::uint64_t position() const { return pos_; }
-
-    /** Join any in-flight prefetch (the walk over a full trace ends
-     *  with none pending; this covers truncated re-emissions). */
-    void
-    drain()
-    {
-        if (standby_load_.valid())
-            standby_load_.wait();
-    }
-
-  private:
-    void
-    feed(const Access &access)
-    {
-        if (pos_ == chunk_end_) {
-            // Chunk arrays end at the recorded length, so a longer
-            // re-emission must stop here, not index past the last one.
-            KB_REQUIRE(pos_ < recorder_.pos_,
-                       "second emission did not replay the recorded "
-                       "trace: more than ",
-                       recorder_.pos_, " positions");
-            const std::uint64_t cp = recorder_.opts_.chunk_positions;
-            const std::uint64_t chunk = pos_ / cp;
-            drain();
-            if (standby_valid_ && standby_chunk_ == chunk) {
-                next_use_.swap(standby_);
-                standby_valid_ = false;
-            } else {
-                recorder_.loadChunk(static_cast<std::size_t>(chunk),
-                                    next_use_);
-            }
-            chunk_base_ = chunk * cp;
-            chunk_end_ = std::min(chunk_base_ + cp, recorder_.pos_);
-            if (recorder_.opts_.prefetch &&
-                chunk + 1 < total_chunks_) {
-                standby_chunk_ = chunk + 1;
-                standby_load_ = std::async(
-                    std::launch::async, [this] {
-                        recorder_.prefetchChunk(
-                            static_cast<std::size_t>(standby_chunk_),
-                            standby_);
-                        standby_valid_ = true;
-                    });
-            }
-        }
-        stack_.access(access,
-                      next_use_[static_cast<std::size_t>(
-                          pos_ - chunk_base_)]);
-        ++pos_;
-    }
-
-    OptNextUseRecorder &recorder_;
-    SegmentedOptStack &stack_;
-    std::uint64_t total_chunks_;
-    std::vector<std::uint64_t> next_use_;
-    std::vector<std::uint64_t> standby_;
-    std::future<void> standby_load_;
-    std::uint64_t standby_chunk_ = 0;
-    bool standby_valid_ = false;
-    std::uint64_t pos_ = 0;
-    std::uint64_t chunk_base_ = 0;
-    std::uint64_t chunk_end_ = 0;
-};
 
 OptCurve
 OptNextUseRecorder::finish(
@@ -737,41 +712,53 @@ OptNextUseRecorder::finish(
     KB_REQUIRE(!finished_,
                "OPT recorder records were already consumed");
     finished_ = true;
-    std::sort(capacities.begin(), capacities.end());
-    capacities.erase(
-        std::unique(capacities.begin(), capacities.end()),
-        capacities.end());
-    KB_REQUIRE(!capacities.empty() && capacities.front() > 0,
-               "OPT curve needs at least one positive capacity");
+    normalizeCapacities(capacities);
 
-    // The last-seen table served pass 1 only; release it before the
-    // walk builds its own word table.
-    last_seen_ = FlatWordMap<std::uint64_t>{};
+    // The word tables served pass 1 only; release them before the
+    // walk builds its own word states. The last chunk joins the spill
+    // budget like every other.
+    last_seen_ = FlatWordMap<std::uint32_t>{};
+    last_pos_ = std::vector<std::uint64_t>{};
+    if (!chunks_.empty())
+        closeChunk();
 
+    // Pass 2 walks the re-emitted trace one chunk at a time; chunks
+    // are crossed in order because trace positions ascend.
     SegmentedOptStack stack(capacities);
-    OptChunkCursor cursor(*this, stack);
+    Chunk chunk;
+    std::uint64_t pos = 0, chunk_base = 0, chunk_end = 0;
+    const auto feed = [&](const Access &access) {
+        if (pos == chunk_end) {
+            // Chunk arrays end at the recorded length, so a longer
+            // re-emission must stop here, not index past the last one.
+            KB_REQUIRE(pos < pos_,
+                       "second emission did not replay the recorded "
+                       "trace: more than ",
+                       pos_, " positions");
+            loadChunk(static_cast<std::size_t>(pos / opts_.chunk_positions),
+                      chunk);
+            chunk_base = pos;
+            chunk_end = pos + chunk.next.size();
+        }
+        const auto off = static_cast<std::size_t>(pos++ - chunk_base);
+        stack.access(access, chunk.next[off], chunk.id[off]);
+    };
+    CallbackSink cursor(feed, [&](std::uint64_t base, std::uint64_t words,
+                                  AccessType type) {
+        for (std::uint64_t i = 0; i < words; ++i)
+            feed(Access{base + i, type});
+    });
     emit_again(cursor);
-    cursor.drain();
-    KB_REQUIRE(cursor.position() == pos_,
+    KB_REQUIRE(pos == pos_,
                "second emission did not replay the recorded trace: ",
-               cursor.position(), " positions vs ", pos_);
+               pos, " positions vs ", pos_);
 
     if (stats != nullptr) {
         stats->positions = pos_;
         stats->chunks_loaded = chunks_loaded_;
-        stats->chunks_prefetched = chunks_prefetched_;
         stats->spilled_bytes = spilled_bytes_;
         stats->peak_pending_bytes = peak_pending_bytes_;
-        // Double buffering holds two chunk arrays only while a
-        // prefetch is in flight; a single-chunk trace (or prefetch
-        // off) never allocates the standby buffer. No chunk array is
-        // longer than the trace.
-        const std::uint64_t chunk_buffers =
-            chunks_prefetched_ > 0 ? 2 : 1;
-        stats->peak_resident_bytes =
-            peak_pending_bytes_ +
-            chunk_buffers * std::min(opts_.chunk_positions, pos_) *
-                sizeof(std::uint64_t);
+        stats->peak_resident_bytes = peak_resident_bytes_;
     }
     return stack.curve(pos_);
 }

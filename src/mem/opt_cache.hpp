@@ -15,18 +15,19 @@
  *    equivalence tests compare everything against.
  *  - OptNextUseRecorder + finish() stream the same computation in two
  *    forward passes so no O(trace) buffer ever exists: pass 1 rides
- *    any emission as a TraceSink and scatters (position -> next use)
- *    records into per-chunk buckets (spilled to temp files past a
+ *    any emission as a TraceSink and writes, per chunk of positions,
+ *    dense next-use and word-id arrays (spilled to temp files past a
  *    byte budget), pass 2 re-emits the trace — kernel emissions are
  *    deterministic and far cheaper than the walk — feeding the stack
- *    while chunks of the next-use array are materialized one at a
- *    time. Peak resident analyzer memory is bounded by the chunk
- *    array plus the spill budget (plus the word-footprint last-seen
- *    table), independent of trace length.
+ *    one chunk at a time. Peak resident analyzer memory beyond the
+ *    O(footprint) word tables is the spill budget (closed chunks
+ *    plus patch records, at most one record over) plus one open
+ *    chunk at 12 bytes per position, independent of trace length.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -155,58 +156,52 @@ OptCurve simulateOptCurve(std::span<const Access> trace,
 /** Tuning knobs of the streaming OPT path. */
 struct OptStreamOptions
 {
-    /// Next-use positions materialized at a time in pass 2; the
-    /// resident chunk array is 8 bytes per position. Default: 4Mi
-    /// positions = 32 MiB.
+    /// Trace positions per chunk; a chunk holds 12 bytes per position
+    /// (u64 next use + u32 word id), touched as positions arrive.
+    /// Default: 4Mi positions = 48 MiB.
     std::uint64_t chunk_positions = 1ull << 22;
-    /// Pending (position -> next use) record bytes held in memory
-    /// before the buckets spill to temp files. Default: 256 MiB —
-    /// traces whose warm accesses fit never touch the disk.
+    /// Closed chunks plus patch records held in memory before they
+    /// spill to temp files. Default: 256 MiB — traces of up to about
+    /// 22M positions never touch the disk.
     std::uint64_t spill_threshold_bytes = 256ull << 20;
     /// Directory for spill files; empty = the system temp directory.
     /// A uniquely named subdirectory is created on first spill and
     /// removed when the recorder is destroyed.
     std::string spill_dir;
-    /// Load chunk k+1 on a worker thread (after advising the kernel
-    /// to read its spill file ahead) while the walk consumes chunk k,
-    /// so pass 2 never stalls on a chunk load. Costs one extra
-    /// resident chunk buffer; see OptStreamStats::peak_resident_bytes.
-    bool prefetch = true;
 };
 
 /** Observed footprint of one streaming OPT computation. */
 struct OptStreamStats
 {
     std::uint64_t positions = 0;     ///< trace length seen
-    std::uint64_t chunks_loaded = 0; ///< next-use chunks materialized
-    /// Chunks whose load overlapped the walk of their predecessor
-    /// (0 when prefetch is off or the trace fits one chunk).
-    std::uint64_t chunks_prefetched = 0;
-    std::uint64_t spilled_bytes = 0; ///< record bytes written to disk
-    /// High-water mark of in-memory pending record bytes (bounded by
-    /// spill_threshold_bytes + one record).
+    std::uint64_t chunks_loaded = 0; ///< chunks handed to the walk
+    std::uint64_t spilled_bytes = 0; ///< chunk and patch bytes on disk
+    /// High-water mark of in-memory closed-chunk and patch-record
+    /// bytes (bounded by spill_threshold_bytes + one 12-byte record).
     std::uint64_t peak_pending_bytes = 0;
-    /// Upper bound on the analyzer's peak resident bytes beyond the
-    /// O(footprint) word tables: peak pending records plus the
-    /// materialized chunk buffers (two while a prefetch is in flight,
-    /// one otherwise). Independent of trace length by construction;
-    /// the stress tests assert it.
+    /// High-water mark of the analyzer's resident bytes beyond the
+    /// O(footprint) word tables: pending bytes plus the chunk pass 1
+    /// writes or pass 2 walks. Bounded by spill_threshold_bytes + one
+    /// record + one chunk at 12 bytes per position (never longer than
+    /// the trace), independent of trace length; the stress tests
+    /// assert it.
     std::uint64_t peak_resident_bytes = 0;
 };
 
 /**
  * Pass 1 of the streaming OPT curve: a TraceSink that records, for
  * every trace position, the position of the next access to the same
- * word. Attach it to any emission (the engine rides it on the shared
- * analyzer tee), then call finish() with a callable that re-emits the
- * identical trace.
+ * word and the word's dense id. Attach it to any emission (the engine
+ * rides it on the shared analyzer tee), then call finish() with a
+ * callable that re-emits the identical trace.
  *
- * Records are bucketed by `position / chunk_positions` so pass 2 can
- * materialize the next-use array one chunk at a time; when pending
- * records exceed the spill budget every bucket appends to its own
- * temp file and the memory is released. Each trace position is
- * recorded at most once (a position is "previous use" to at most one
- * later access), so buckets need no ordering or merging.
+ * Each chunk of `chunk_positions` positions is two dense arrays:
+ * next[off] (kNever until the word's next access overwrites it) and
+ * id[off] (ids in first-occurrence order; 2^32 words is fatal). Past
+ * the spill budget every closed chunk goes to its temp file, and a
+ * next use into a spilled chunk becomes an (offset, next) patch
+ * record, spilled the same way and applied when pass 2 reads the
+ * chunk back. Pass 2 takes in-memory chunks by move.
  */
 class OptNextUseRecorder : public TraceSink
 {
@@ -251,11 +246,16 @@ class OptNextUseRecorder : public TraceSink
                     OptStreamStats *stats = nullptr);
 
   private:
-    friend class OptChunkCursor;
+    /// One chunk's dense arrays, indexed by offset within the chunk.
+    struct Chunk
+    {
+        std::vector<std::uint64_t> next; ///< next-use position
+        std::vector<std::uint32_t> id;   ///< dense word id
+    };
 
-    /// In-memory records of one chunk: parallel (offset within
-    /// chunk, absolute next-use position) arrays.
-    struct Bucket
+    /// Next uses of positions in a spilled chunk: parallel (offset
+    /// within chunk, next-use position) arrays.
+    struct Patches
     {
         std::vector<std::uint32_t> off;
         std::vector<std::uint64_t> next;
@@ -267,29 +267,42 @@ class OptNextUseRecorder : public TraceSink
     /// are independent and the table walk pipelines (same lookahead
     /// recipe as the reuse analyzers' map phase).
     void noteRun(std::uint64_t base, std::uint64_t words);
-    void spill();
-    std::string bucketFile(std::size_t chunk) const;
-    /// Materialize chunk @p chunk's next-use array (kNever where no
-    /// later access exists) and release its records.
-    void loadChunk(std::size_t chunk,
-                   std::vector<std::uint64_t> &next_use);
-    /// loadChunk() plus a readahead hint on the chunk's spill file;
-    /// the cursor's prefetch worker runs this off-thread. Touches the
-    /// same recorder state as loadChunk(), so the caller must not
-    /// overlap it with another load (the cursor joins the worker
-    /// before every chunk swap).
-    void prefetchChunk(std::size_t chunk,
-                       std::vector<std::uint64_t> &next_use);
+    /// Record @p next as the next use of spilled position @p prev.
+    void patch(std::uint64_t prev, std::uint64_t next);
+    /// Close the open chunk, if any, and open one at pos_.
+    void openChunk();
+    /// The open chunk joins the pending bytes, or spills with every
+    /// other closed chunk when that would pass the budget.
+    void closeChunk();
+    /// Move chunks [0, @p closed) and every patch record to disk.
+    void spill(std::size_t closed);
+    std::string spillFile(std::size_t chunk) const;
+    /// Raise the high-water marks: pending bytes, and pending bytes
+    /// plus the chunk pass 1 writes or pass 2 walks.
+    void
+    notePeak(std::uint64_t chunk_bytes)
+    {
+        peak_pending_bytes_ = std::max(peak_pending_bytes_, pending_bytes_);
+        peak_resident_bytes_ =
+            std::max(peak_resident_bytes_, pending_bytes_ + chunk_bytes);
+    }
+    /// Hand chunk @p chunk to pass 2 in @p out: moved when it is in
+    /// memory, else read back from its spill file and patched.
+    void loadChunk(std::size_t chunk, Chunk &out);
 
     OptStreamOptions opts_;
-    FlatWordMap<std::uint64_t> last_seen_; ///< addr -> last position
-    std::vector<Bucket> buckets_;          ///< index = chunk
+    FlatWordMap<std::uint32_t> last_seen_; ///< addr -> word id
+    std::vector<std::uint64_t> last_pos_;  ///< word id -> last position
+    std::vector<Chunk> chunks_;            ///< index = chunk
+    std::vector<Patches> patches_;         ///< index = spilled chunk
+    std::uint64_t spilled_end_ = 0; ///< chunks below are on disk
+    std::uint64_t open_end_ = 0;    ///< first position past the open chunk
     std::uint64_t pos_ = 0;
     std::uint64_t pending_bytes_ = 0;
     std::uint64_t peak_pending_bytes_ = 0;
+    std::uint64_t peak_resident_bytes_ = 0;
     std::uint64_t spilled_bytes_ = 0;
     std::uint64_t chunks_loaded_ = 0;
-    std::uint64_t chunks_prefetched_ = 0;
     std::string spill_dir_; ///< created on first spill; dtor removes
     bool finished_ = false;
 };

@@ -648,31 +648,53 @@ TEST(StreamingOptDiff, PeakResidentMemoryIndependentOfTraceLength)
 
     EXPECT_EQ(long_stats.positions, 8 * short_stats.positions);
     EXPECT_GT(long_stats.spilled_bytes, short_stats.spilled_bytes);
-    // The bound itself: pending records never pass the spill budget
-    // (+ one record) and the resident total adds only the
-    // materialized chunk buffers — two with the default chunk
-    // prefetch (walk buffer + standby), for the 8x trace just as for
-    // the 1x.
+    // The bound itself: closed chunks plus patch records never pass
+    // the spill budget by more than one record, and the resident
+    // total adds one open chunk at 12 bytes per position (u64 next
+    // use + u32 word id) — for the 8x trace just as for the 1x.
     const std::uint64_t record = 12;
     const std::uint64_t bound = options.spill_threshold_bytes + record +
-                                2 * options.chunk_positions * 8;
-    EXPECT_GT(short_stats.chunks_prefetched, 0u);
+                                options.chunk_positions * 12;
     EXPECT_LE(short_stats.peak_resident_bytes, bound);
     EXPECT_LE(long_stats.peak_resident_bytes, bound);
     EXPECT_EQ(long_stats.peak_resident_bytes,
               short_stats.peak_resident_bytes)
         << "peak resident bytes must not grow with trace length";
+}
 
-    // Prefetch off: same curve, and the resident bound tightens back
-    // to a single chunk buffer.
-    options.prefetch = false;
-    OptStreamStats sync_stats;
-    expectOptStreamingMatchesBuffered(cyclicTrace(64), {4, 64, 512},
-                                      options, &sync_stats);
-    EXPECT_EQ(sync_stats.chunks_prefetched, 0u);
-    EXPECT_LE(sync_stats.peak_resident_bytes,
-              options.spill_threshold_bytes + record +
-                  options.chunk_positions * 8);
+/** Later accesses reuse words whose previous positions sit in chunks
+ *  that are already on disk, so their next uses travel as patch
+ *  records: a cyclic scan over about three chunks of words with a
+ *  budget below one chunk spills every chunk as it closes. */
+TEST(StreamingOptDiff, NextUsesIntoSpilledChunksArePatched)
+{
+    OptStreamOptions options;
+    options.chunk_positions = 256;
+    options.spill_threshold_bytes = 2048; // one chunk is 3072 bytes
+
+    std::vector<Access> trace;
+    for (std::uint64_t lap = 0; lap < 6; ++lap)
+        for (std::uint64_t a = 0; a < 770; ++a)
+            trace.push_back(a % 3 == 0 ? writeOf(a) : readOf(a));
+
+    const std::vector<std::uint64_t> caps{1, 64, 300, 769, 770, 1000};
+    OptStreamStats stats;
+    expectOptStreamingMatchesBuffered(trace, caps, options, &stats);
+    EXPECT_GT(stats.spilled_bytes, 0u);
+
+    const auto streamed = simulateOptCurveStreaming(
+        [&](TraceSink &sink) {
+            for (const auto &a : trace)
+                sink.onAccess(a);
+        },
+        caps, options);
+    for (const auto cap : caps) {
+        const auto direct = simulateOpt(trace, cap).stats;
+        EXPECT_EQ(streamed.missesAt(cap), direct.misses)
+            << "capacity " << cap;
+        EXPECT_EQ(streamed.writebacksAt(cap), direct.writebacks)
+            << "capacity " << cap;
+    }
 }
 
 /** A trace shorter than one chunk materializes a trace-sized array,
@@ -692,7 +714,12 @@ TEST(StreamingOptDiff, ChunkArraySizedToShortTrace)
     EXPECT_EQ(stats.positions, trace.size());
     EXPECT_LT(stats.positions, options.chunk_positions);
     EXPECT_LE(stats.peak_resident_bytes,
-              stats.peak_pending_bytes + stats.positions * 8);
+              stats.peak_pending_bytes + stats.positions * 12);
+
+    // The longest chunk the u32 offset allows: the open chunk reserves
+    // at most a default-sized chunk, so a short trace still fits.
+    options.chunk_positions = 1ull << 32;
+    expectOptStreamingMatchesBuffered(trace, {3, 16, 64}, options);
 }
 
 /** A re-emission longer than the recorded trace is fatal at the end
